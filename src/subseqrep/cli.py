@@ -7,7 +7,8 @@ slope).  All reports are JSON documents on stdout; timings live in one
 subtree so the rest is byte-stable across runs.
 
 Exit codes: 0 ok, 2 input error, 3 budget or guard exceeded,
-4 internal invariant failure.
+4 internal invariant failure.  Exit 2 covers only errors raised while
+reading and parsing input; any other ValueError is internal.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import time
 from .core import (
     OccurrenceIndex,
     Sequence,
-    SequenceParseError,
     SrsDecomposition,
     parse_sequence,
     sequence_from_tokens,
@@ -30,7 +30,6 @@ from .core import (
     validate_srs,
 )
 from .hardness import (
-    GraphFormatError,
     InstanceSizeError,
     assignment_from_coloring,
     check_reduction_invariants,
@@ -59,6 +58,22 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
+class _InputError(Exception):
+    pass
+
+
+def _parsed(parse, *args):
+    """Call a parser on input data; its ValueError becomes an input error."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+
+
+def _int_list(text: str, sep: str | None = None) -> list[int]:
+    return [int(tok) for tok in text.split(sep) if tok]
+
+
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
@@ -69,12 +84,12 @@ def _read_text(path: str | None) -> str:
 def read_sequence(path: str | None, tokens: bool) -> Sequence:
     text = _read_text(path)
     if tokens:
-        return parse_sequence(text, "tokens")
+        return _parsed(parse_sequence, text, "tokens")
     # FASTA-style: drop header lines, concatenate the rest
     body = "".join(
         line.strip() for line in text.splitlines() if not line.startswith(">")
     )
-    return parse_sequence(body, "raw")
+    return _parsed(parse_sequence, body, "raw")
 
 
 def decomposition_doc(seq: Sequence, dec: SrsDecomposition) -> dict:
@@ -115,13 +130,16 @@ class _InternalError(Exception):
     pass
 
 
+def _over_guard(n: int, max_n: int) -> bool:
+    if n > max_n:
+        print(f"sequence length {n} exceeds --max-n {max_n}", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_analyze(args) -> int:
     seq = read_sequence(args.input, args.tokens)
-    if seq.n > args.max_n:
-        print(
-            f"sequence length {seq.n} exceeds --max-n {args.max_n}",
-            file=sys.stderr,
-        )
+    if _over_guard(seq.n, args.max_n):
         return EXIT_BUDGET
     index = OccurrenceIndex.from_sequence(seq)
     timing = {}
@@ -185,11 +203,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_tables(args) -> int:
     seq = read_sequence(args.input, args.tokens)
-    if seq.n > args.max_n:
-        print(
-            f"sequence length {seq.n} exceeds --max-n {args.max_n}",
-            file=sys.stderr,
-        )
+    if _over_guard(seq.n, args.max_n):
         return EXIT_BUDGET
     table = (square_table if args.which == "q2" else cube_table)(seq, args.threads)
     if args.format == "csv":
@@ -224,10 +238,10 @@ def cmd_reduce(args) -> int:
     text = _read_text(args.input)
     graph = None
     if args.source == "coloring":
-        graph = parse_graph(text)
+        graph = _parsed(parse_graph, text)
         sat = coloring_to_sat(graph)
     else:
-        sat = sat_from_json_doc(json.loads(text))
+        sat = _parsed(sat_from_json_doc, _parsed(json.loads, text))
 
     if args.target == "sat":
         if args.format == "dimacs":
@@ -236,6 +250,8 @@ def cmd_reduce(args) -> int:
             _emit(args, sat_to_json_doc(sat))
         return EXIT_OK
 
+    if not sat.plus_clauses:
+        raise _InputError("cannot build an instance for an empty formula")
     instance = sat_to_string(sat)
     problems = check_reduction_invariants(instance)
     if problems:
@@ -255,8 +271,8 @@ def cmd_reduce(args) -> int:
         if graph is None:
             print("--witness requires --from coloring", file=sys.stderr)
             return EXIT_INPUT
-        colors = [int(tok) for tok in _read_text(args.witness).split()]
-        assignment = assignment_from_coloring(graph, sat, colors)
+        colors = _parsed(_int_list, _read_text(args.witness))
+        assignment = _parsed(assignment_from_coloring, graph, sat, colors)
         if not assignment.valid:
             print("coloring does not induce a valid assignment", file=sys.stderr)
             return EXIT_INPUT
@@ -303,10 +319,12 @@ def fitted_slope(points: list[tuple[int, float]]) -> float:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    sizes = _parsed(_int_list, args.sizes, ",")
     if len(sizes) < 2:
         print("need at least two sizes", file=sys.stderr)
         return EXIT_INPUT
+    if _over_guard(max(sizes), args.max_n):
+        return EXIT_BUDGET
     rows = []
     points = []
     for n in sizes:
@@ -343,18 +361,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_guard(p):
+        p.add_argument(
+            "--max-n",
+            type=int,
+            default=64,
+            help="refuse longer inputs (the cube stage is O(n^6))",
+        )
+
     def add_common(p, with_guard=True):
         p.add_argument("input", nargs="?", help="input file, or - for stdin")
         p.add_argument("--tokens", action="store_true", help="whitespace-token input")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("-o", "--output", help="write the report to a file")
         if with_guard:
-            p.add_argument(
-                "--max-n",
-                type=int,
-                default=64,
-                help="refuse longer inputs (the cube stage is O(n^6))",
-            )
+            add_guard(p)
 
     p = sub.add_parser("analyze", help="run every solver on one sequence")
     add_common(p)
@@ -387,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=0, help="0 = pick automatically")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("-o", "--output")
+    add_guard(p)
     p.set_defaults(func=cmd_bench)
     return parser
 
@@ -396,13 +418,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SequenceParseError, GraphFormatError, ValueError, OSError) as exc:
+    except (_InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (BudgetExceededError, OccurrenceBoundError, InstanceSizeError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (_InternalError, AssertionError) as exc:
+    except (_InternalError, AssertionError, ValueError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

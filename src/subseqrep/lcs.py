@@ -6,8 +6,9 @@ pass: ``f[k]`` is the LCS length of the fixed arguments against
 in :mod:`subseqrep.tables` amortize one DP over a whole row of interval
 end points, so no single-value variant is exposed.
 
-Arguments are any indexable sequences with ``==`` on elements (letter-id
-tuples, strings, lists).  Witness reconstruction lives here too since it
+Arguments are any indexable sequences of hashable elements compared with
+``==`` (letter-id tuples, strings, lists); the 2-way engine keys its
+match masks on the elements.  Witness reconstruction lives here too since it
 shares the recurrences.
 """
 
@@ -17,19 +18,45 @@ from __future__ import annotations
 def lcs2_all_prefixes(a, b) -> list[int]:
     """f[k] = LCS(a, b[:k]) for 0 <= k <= len(b).
 
-    O(len(a)*len(b)) time, one rolling row of memory.
+    Bit-parallel (Allison & Dix 1986; Crochemore et al. 2001; Hyyro
+    2004): O(len(b)) operations on len(a)-bit ints.
     """
-    nb = len(b)
-    row = [0] * (nb + 1)
+    match = dict.fromkeys(b, 0)
+    bit = 1
     for x in a:
-        diag = 0
-        for j in range(1, nb + 1):
-            cur = row[j]
-            if b[j - 1] == x:
-                row[j] = diag + 1
-            elif row[j - 1] > cur:
-                row[j] = row[j - 1]
-            diag = cur
+        if x in match:
+            match[x] |= bit
+        bit <<= 1
+    return _bit_parallel_row(len(a), match, b)
+
+
+def lcs2_cut_prefixes(x, s: int) -> list[list[int]]:
+    """out[m - s] == lcs2_all_prefixes(x[s : m + 1], x[m + 1 :]) for s <= m < len(x).
+
+    Every cut of the suffix starting at ``s`` in one pass: the match masks
+    of ``x[s : m + 1]`` grow by one bit per cut instead of being rebuilt.
+    """
+    match = dict.fromkeys(x[s:], 0)
+    out = []
+    for m in range(s, len(x)):
+        match[x[m]] |= 1 << (m - s)
+        out.append(_bit_parallel_row(m - s + 1, match, x[m + 1 :]))
+    return out
+
+
+def _bit_parallel_row(size: int, match: dict, b) -> list[int]:
+    """All-prefix LCS of b against a word of length ``size``.
+
+    ``match[y]`` has bit p set where the word holds ``y``.  Bit p of ``v``
+    stays set until position p is matched, so after the k-th letter of
+    ``b`` the LCS is ``size - popcount(v)``.
+    """
+    full = v = (1 << size) - 1
+    row = [0]
+    for y in b:
+        u = v & match[y]
+        v = ((v + u) | (v - u)) & full
+        row.append(size - v.bit_count())
     return row
 
 

@@ -22,7 +22,9 @@ sequence is L[1,n] > 0.  Total O(n^4), dominated by the square table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     Block,
@@ -46,9 +48,26 @@ class OccurrenceBoundError(Exception):
 
 @dataclass(frozen=True)
 class CoverageTables:
-    cover: IntervalTable
-    cover2: IntervalTable
-    cover3: IntervalTable
+    """cover / cover2 / cover3 as bitmask rows: ``masks[t][i - 1][j - i]``.
+
+    Bit ``a`` stands for letter id ``a``.  The solver reads the masks; the
+    set-valued ``cover``, ``cover2`` and ``cover3`` tables are built on
+    first use.
+    """
+
+    masks: tuple[list[list[int]], list[list[int]], list[list[int]]]
+
+    @cached_property
+    def cover(self) -> IntervalTable:
+        return _set_table("cover", self.masks[0])
+
+    @cached_property
+    def cover2(self) -> IntervalTable:
+        return _set_table("cover-twice", self.masks[1])
+
+    @cached_property
+    def cover3(self) -> IntervalTable:
+        return _set_table("cover-thrice", self.masks[2])
 
 
 @dataclass(frozen=True)
@@ -127,19 +146,16 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _set_table(kind: str, rows: list[list[int]]) -> IntervalTable:
+    table = IntervalTable(len(rows), kind, frozenset())
+    table.rows = [[_mask_to_set(m) for m in row] for row in rows]
+    return table
+
+
 def coverage_tables(seq: Sequence) -> CoverageTables:
-    """Set-valued coverage tables for every interval; O(n^3) total."""
+    """Coverage tables for every interval; O(n^2) masks, O(n^3) as sets."""
     precheck(seq)
-    n = seq.n
-    rows_c, rows_c2, rows_c3 = _cover_masks(seq)
-    cover = IntervalTable(n, "cover", frozenset())
-    cover2 = IntervalTable(n, "cover-twice", frozenset())
-    cover3 = IntervalTable(n, "cover-thrice", frozenset())
-    for i in range(1, n + 1):
-        cover.rows[i - 1] = [_mask_to_set(m) for m in rows_c[i - 1]]
-        cover2.rows[i - 1] = [_mask_to_set(m) for m in rows_c2[i - 1]]
-        cover3.rows[i - 1] = [_mask_to_set(m) for m in rows_c3[i - 1]]
-    return CoverageTables(cover, cover2, cover3)
+    return CoverageTables(_cover_masks(seq))
 
 
 def s3_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalTable:
@@ -151,14 +167,15 @@ def s3_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalT
     """
     n = seq.n
     letters = seq.letters
+    rows_c3 = cov.masks[2]
     table = IntervalTable(n, "covered-cube", -1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            want = cov.cover3.get(i, j)
+            want = rows_c3[i - 1][j - i]
             if not want:
                 continue
-            restricted = [a for a in letters[i - 1 : j] if a in want]
-            size = len(want)
+            restricted = [a for a in letters[i - 1 : j] if want >> a & 1]
+            size = want.bit_count()
             if len(restricted) != 3 * size:
                 raise AssertionError("cover3 letters must occur exactly 3 times")
             if restricted[:size] == restricted[size : 2 * size] == restricted[2 * size :]:
@@ -171,12 +188,13 @@ def s3_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalT
 def s2_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalTable:
     """Best covering square per interval, -1 when none (same length test)."""
     n = seq.n
+    rows_c2 = cov.masks[1]
     table = IntervalTable(n, "covered-square", -1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            want = cov.cover2.get(i, j)
-            if want and q2.get(i, j) == 2 * len(want):
-                table.set(i, j, 2 * len(want))
+            size = rows_c2[i - 1][j - i].bit_count()
+            if size and q2.get(i, j) == 2 * size:
+                table.set(i, j, 2 * size)
     return table
 
 
@@ -191,7 +209,7 @@ def feasibility_tables(
     cov = coverage_tables(seq)
     s3 = s3_table(seq, cov, q2)
     s2 = s2_table(seq, cov, q2)
-    rows_c, _, rows_c3 = _cover_masks(seq)
+    rows_c, _, rows_c3 = cov.masks
 
     length = IntervalTable(n, "feasible-length", -1)
     trace: dict = {}
@@ -236,16 +254,16 @@ def feasibility_tables(
     return FeasibilityTables(s2, s3, length, trace)
 
 
-def _rebuild(seq: Sequence, tabs: FeasibilityTables, rows_c3, i: int, j: int) -> list[Block]:
+def _rebuild(seq: Sequence, tabs: FeasibilityTables, i: int, j: int) -> list[Block]:
     kind = tabs.trace[(i, j)]
     if kind[0] == "split":
         k = kind[1]
-        return _rebuild(seq, tabs, rows_c3, i, k) + _rebuild(seq, tabs, rows_c3, k + 1, j)
+        return _rebuild(seq, tabs, i, k) + _rebuild(seq, tabs, k + 1, j)
     if kind[0] == "cube3":
-        mask = rows_c3[i - 1][j - i]
-        positions = [
-            p for p in range(i, j + 1) if mask >> seq.letters[p - 1] & 1
-        ]
+        # the covering cube takes every letter occurring 3 times in S[i..j]
+        window = seq.letters[i - 1 : j]
+        counts = Counter(window)
+        positions = [p for p, a in enumerate(window, i) if counts[a] == 3]
         size = len(positions) // 3
         root = tuple(seq.letters[p - 1] for p in positions[:size])
         copies = (
@@ -281,8 +299,7 @@ def lsrs_plus3(
     best = tabs.length.get(1, n) if n >= 2 else -1
     if best <= 0:
         return Plus3Result(False, -1, None)
-    _, _, rows_c3 = _cover_masks(seq)
-    blocks = _rebuild(seq, tabs, rows_c3, 1, n)
+    blocks = _rebuild(seq, tabs, 1, n)
     dec = merge_blocks(SrsDecomposition(tuple(blocks)))
     if dec.total_length != best:
         raise AssertionError(f"witness length {dec.total_length} != optimum {best}")

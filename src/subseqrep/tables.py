@@ -9,8 +9,23 @@ suffix, so a single DP pass fills a whole row of end points:
           against every prefix of the second part covers Q[s, m+k].
   cube:   same with cut pairs (c1, c2) and the 3-way engine.
 
-That is O(n^4) total for squares and O(n^6) for cubes with table-only
-O(n^2) extra space (the 3-way DP itself rolls its layers).
+That is O(n^4) total for squares and O(n^6) for cubes in the worst case.
+
+The cube table skips a cut pair's 3-way DP when proven bounds show it
+cannot raise any cell of its row (bound-and-skip), so it equals the
+unpruned search.  For a = S[s..c1], b = S[c1+1..c2], c = S[c2+1..]:
+
+  - LCS(a, b, c[:k]) <= min(LCS(a, b), LCS(b, c[:k])), and a root is
+    no longer than any of a, b or c[:k];
+  - the longest cube root in S[s..j] is at most the sum over letters of
+    count // 3, and at least 1 once a letter occurs 3 times.  The count
+    bound settles a cell outright when the row already reaches it.
+
+Each pair is tested against the smallest threshold among its row's
+open cells first, then end point by end point, and its DP stops at the
+last open cell.  The pairwise LCS values come from prefix vectors
+pre[s][m][k] = LCS(S[s..m], S[m+1..m+k]), built with the bit-parallel
+2-way engine once per start, on first use: O(n^2) vectors, O(n^3) ints.
 
 Witnesses are rebuilt on demand per interval -- storing tracebacks for
 all O(n^2) intervals would dwarf the tables themselves.
@@ -21,7 +36,13 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 from .core import Block, Sequence, SrsDecomposition
-from .lcs import lcs2_all_prefixes, lcs2_witness, lcs3_all_prefixes, lcs3_witness
+from .lcs import (
+    lcs2_all_prefixes,
+    lcs2_cut_prefixes,
+    lcs2_witness,
+    lcs3_all_prefixes,
+    lcs3_witness,
+)
 
 INT_KINDS = ("square", "cube", "covered-square", "covered-cube", "feasible-length")
 SET_KINDS = ("cover", "cover-twice", "cover-thrice")
@@ -92,22 +113,72 @@ def _square_row(letters: tuple[int, ...], s: int) -> list[int]:
     return best
 
 
-def _cube_row(letters: tuple[int, ...], s: int) -> list[int]:
+def _cube_row(letters: tuple[int, ...], pre: list, s: int) -> list[int]:
+    # best[j - s]: longest cube root found in S[s..j].  cap[j - s] is the
+    # sum over letters of count // 3 in S[s..j], which bounds it from above;
+    # a letter seen 3 times is already a root of length 1.  Cells outside
+    # [lo, hi] are settled (best == cap).
     n = len(letters)
-    best = [0] * (n - s + 1)
+    cap = []
+    counts = {}
+    room = 0
+    for x in letters[s - 1 :]:
+        c = counts[x] = counts.get(x, 0) + 1
+        if c % 3 == 0:
+            room += 1
+        cap.append(room)
+    best = [1 if v else 0 for v in cap]
+    lo, hi = (cap.index(2), len(cap) - 1) if room > 1 else (0, -1)
     for c1 in range(s, n - 1):
+        if c1 - s + 1 >= hi:
+            break
+        # a, b and c[:k] must each be longer than the smallest threshold
+        low = best[max(c1 - s + 2, lo)]
+        if c1 - s + 1 <= low or c1 + 2 * low + 2 > hi + s:
+            continue
         a = letters[s - 1 : c1]
+        ab_row = _cut_vectors(pre, letters, s - 1)[c1 - s]
+        bc_rows = _cut_vectors(pre, letters, c1)
         for c2 in range(c1 + 1, n):
-            f = lcs3_all_prefixes(a, letters[c1:c2], letters[c2:])
             base = c2 - s
-            for k in range(1, n - c2 + 1):
-                v = f[k]
-                if v:
-                    v += v + v
-                    idx = base + k
-                    if v > best[idx]:
-                        best[idx] = v
-    return best
+            if base >= hi:
+                break
+            low = best[max(base + 1, lo)]
+            ab = ab_row[c2 - c1]
+            bc = bc_rows[c2 - c1 - 1]
+            if ab <= low or bc[-1] <= low:
+                continue
+            end = hi - base
+            for k in range(max(1, lo - base), end + 1):
+                t = best[base + k]
+                if bc[k] > t and ab > t and cap[base + k] > t:
+                    break
+            else:
+                continue
+            c = letters[c2 : c2 + end]
+            f = lcs3_all_prefixes(a, letters[c1:c2], c)
+            for k in range(k, end + 1):
+                if f[k] > best[base + k]:
+                    best[base + k] = f[k]
+            lo, hi = _open_cells(best, cap, lo, hi)
+    return [v + v + v for v in best]
+
+
+def _open_cells(best: list[int], cap: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """Shrink [lo, hi] to the first and last cell with best < cap; hi = -1 if none."""
+    while lo <= hi and best[lo] == cap[lo]:
+        lo += 1
+    while hi >= lo and best[hi] == cap[hi]:
+        hi -= 1
+    return lo, hi if lo <= hi else -1
+
+
+def _cut_vectors(pre: list, letters: tuple[int, ...], start: int) -> list[list[int]]:
+    """``lcs2_cut_prefixes(letters, start)``, built on first use."""
+    vectors = pre[start]
+    if vectors is None:
+        vectors = pre[start] = lcs2_cut_prefixes(letters, start)
+    return vectors
 
 
 def square_table(seq: Sequence, threads: int = 1) -> IntervalTable:
@@ -122,8 +193,9 @@ def square_table(seq: Sequence, threads: int = 1) -> IntervalTable:
 def cube_table(seq: Sequence, threads: int = 1) -> IntervalTable:
     """Longest cubic subsequence length for every interval; O(n^6)."""
     letters = seq.letters
+    pre = [None] * seq.n
     table = IntervalTable(seq.n, "cube")
-    table.rows = _run_rows(lambda s: _cube_row(letters, s), seq.n, threads)
+    table.rows = _run_rows(lambda s: _cube_row(letters, pre, s), seq.n, threads)
     _check_repeat_table(table, 3)
     return table
 
@@ -177,7 +249,9 @@ def square_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
 def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
     """Single exponent-3 block of length Q3[i, j], or None when that is 0.
 
-    Ties broken by the smallest (c1, c2) cut pair.
+    Ties broken by the smallest (c1, c2) cut pair.  A pair whose pairwise
+    LCS bound is no better than the best so far cannot win under that
+    rule, so its 3-way DP is skipped.
     """
     _bounds_check(seq, i, j)
     letters = seq.letters
@@ -185,10 +259,20 @@ def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
     best_cuts = None
     for c1 in range(i, j - 1):
         a = letters[i - 1 : c1]
+        rest = letters[c1:j]
+        # ab[c2 - c1] = LCS(a, S[c1+1..c2]); ac[j - c2] = LCS(a, S[c2+1..j])
+        ab = lcs2_all_prefixes(a, rest)
+        ac = lcs2_all_prefixes(a[::-1], rest[::-1])
         for c2 in range(c1 + 1, j):
-            f = lcs3_all_prefixes(a, letters[c1:c2], letters[c2:j])
-            if f[j - c2] > best_val:
-                best_val = f[j - c2]
+            if ab[c2 - c1] <= best_val or ac[j - c2] <= best_val:
+                continue
+            b = letters[c1:c2]
+            c = letters[c2:j]
+            if lcs2_all_prefixes(b, c)[-1] <= best_val:
+                continue
+            f = lcs3_all_prefixes(a, b, c)
+            if f[-1] > best_val:
+                best_val = f[-1]
                 best_cuts = (c1, c2)
     if best_val == 0:
         return None

@@ -262,3 +262,55 @@ def test_bench_command(tmp_path, capsys):
 def test_fitted_slope():
     points = [(2, 8.0), (4, 64.0), (8, 512.0)]  # exactly cubic
     assert abs(fitted_slope(points) - 3.0) < 1e-9
+
+
+def test_parse_errors_are_input_errors(tmp_path, capsys):
+    not_json = write(tmp_path, "bad.json", "{not json")
+    code, _, err = run_cli(capsys, "reduce", "--from", "sat", "--to", "string", not_json)
+    assert code == 2 and "input error" in err
+
+    malformed = write(tmp_path, "malformed.json", json.dumps({"num_vars": 1}))
+    code, _, err = run_cli(capsys, "reduce", "--from", "sat", "--to", "string", malformed)
+    assert code == 2 and "malformed SAT document" in err
+
+    graph = write(tmp_path, "k3.graph", K3_GRAPH)
+    for text in ("1 x 3\n", "1 2\n", "1 2 7\n"):
+        colors = write(tmp_path, "colors.txt", text)
+        code, _, err = run_cli(
+            capsys, "reduce", "--from", "coloring", "--to", "string", "--witness", colors, graph
+        )
+        assert code == 2 and "input error" in err, text
+
+    code, _, err = run_cli(capsys, "bench", "--alg", "q2", "--sizes", "4,x")
+    assert code == 2 and "input error" in err
+
+
+def test_internal_value_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("power_root of empty word")
+
+    graph = write(tmp_path, "k3.graph", K3_GRAPH)
+    colors = write(tmp_path, "colors.txt", "1 2 3\n")
+    monkeypatch.setattr("subseqrep.cli.extract_witness", broken)
+    code, _, err = run_cli(
+        capsys, "reduce", "--from", "coloring", "--to", "string", "--witness", colors, graph
+    )
+    assert code == 4
+    assert "internal invariant failure" in err and "input error" not in err
+
+    monkeypatch.setattr("subseqrep.cli.lsrs", broken)
+    code, _, err = run_cli(capsys, "analyze", write(tmp_path, "seq.txt", "abab\n"))
+    assert code == 4
+    assert "internal invariant failure" in err
+
+
+def test_bench_guard(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("bench ran a size above the guard")
+
+    monkeypatch.setattr("subseqrep.cli._bench_once", never)
+    code, out, err = run_cli(capsys, "bench", "--alg", "q3", "--sizes", "8,65")
+    assert code == 3
+    assert out == "" and "--max-n 64" in err
+    code, _, err = run_cli(capsys, "bench", "--alg", "q2", "--sizes", "4,16", "--max-n", "8")
+    assert code == 3 and "--max-n 8" in err

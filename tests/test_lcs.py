@@ -2,12 +2,29 @@ import random
 
 from subseqrep.lcs import (
     lcs2_all_prefixes,
+    lcs2_cut_prefixes,
     lcs2_witness,
     lcs3_all_prefixes,
     lcs3_witness,
 )
 
 from helpers import brute_lcs2, brute_lcs3, is_subsequence, random_string
+
+
+def dp_lcs2_all_prefixes(a, b) -> list[int]:
+    """Cell-by-cell reference for the bit-parallel engine."""
+    nb = len(b)
+    row = [0] * (nb + 1)
+    for x in a:
+        diag = 0
+        for j in range(1, nb + 1):
+            cur = row[j]
+            if b[j - 1] == x:
+                row[j] = diag + 1
+            elif row[j - 1] > cur:
+                row[j] = row[j - 1]
+            diag = cur
+    return row
 
 
 def test_two_way_worked_split():
@@ -33,6 +50,38 @@ def test_two_way_prefix_semantics_brute():
         assert len(f) == len(b) + 1
         for k in range(len(b) + 1):
             assert f[k] == brute_lcs2(a, b[:k]), (a, b, k)
+
+
+def test_two_way_bit_parallel_matches_dp():
+    rng = random.Random(17)
+    cases = [("", ""), ("", "abc"), ("abc", ""), ((), (1, 2)), ([3], [])]
+    for _ in range(150):
+        # short words, words past one 64-bit machine word, large alphabets
+        na = rng.choice((rng.randint(0, 12), rng.randint(60, 150)))
+        nb = rng.choice((rng.randint(0, 12), rng.randint(60, 150)))
+        sigma = rng.choice((1, 2, 4, 70, 300))
+        a = [rng.randrange(sigma) for _ in range(na)]
+        b = [rng.randrange(sigma) for _ in range(nb)]
+        cases += [(a, b), (tuple(a), tuple(b))]
+        if sigma <= 4:
+            cases.append(("".join("acgt"[x] for x in a), "".join("acgt"[x] for x in b)))
+        else:
+            cases.append(("".join(chr(0x100 + x) for x in a), "".join(chr(0x100 + x) for x in b)))
+    for a, b in cases:
+        assert lcs2_all_prefixes(a, b) == dp_lcs2_all_prefixes(a, b), (a, b)
+
+
+def test_cut_prefixes_match_pairwise_calls():
+    rng = random.Random(18)
+    words = ["", "a", "aaaa", "abcdefg"]
+    words += [random_string(rng, 20, sigma=rng.randint(1, 5)) for _ in range(25)]
+    words.append(tuple(rng.randrange(90) for _ in range(70)))
+    for x in words:
+        for s in range(len(x)):
+            out = lcs2_cut_prefixes(x, s)
+            assert len(out) == len(x) - s
+            for m in range(s, len(x)):
+                assert out[m - s] == dp_lcs2_all_prefixes(x[s : m + 1], x[m + 1 :]), (x, s, m)
 
 
 def test_three_way_identical():

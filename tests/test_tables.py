@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from subseqrep.core import parse_sequence, validate_srs
+from subseqrep.core import (
+    Block,
+    SrsDecomposition,
+    parse_sequence,
+    sequence_from_tokens,
+    validate_srs,
+)
+from subseqrep.lcs import lcs3_all_prefixes, lcs3_witness
 from subseqrep.oracles import oracle_cube_table, oracle_square_table
 from subseqrep.tables import (
     IntervalTable,
@@ -142,3 +149,59 @@ def test_thread_determinism():
         s = parse_sequence(random_string(rng, 12))
         assert square_table(s, threads=1) == square_table(s, threads=4)
         assert cube_table(s, threads=1) == cube_table(s, threads=4)
+
+
+def unpruned_cube_rows(letters) -> list[list[int]]:
+    """Every cut pair through the 3-way DP, no bounds: the pruning's reference."""
+    n = len(letters)
+    rows = []
+    for s in range(1, n + 1):
+        best = [0] * (n - s + 1)
+        for c1 in range(s, n - 1):
+            for c2 in range(c1 + 1, n):
+                f = lcs3_all_prefixes(letters[s - 1 : c1], letters[c1:c2], letters[c2:])
+                for k in range(1, n - c2 + 1):
+                    best[c2 - s + k] = max(best[c2 - s + k], 3 * f[k])
+        rows.append(best)
+    return rows
+
+
+def unpruned_cube_witness(seq, i, j):
+    """Smallest (c1, c2) reaching the optimum, searched without bounds, then traced back."""
+    letters = seq.letters
+    best_val, best_cuts = 0, None
+    for c1 in range(i, j - 1):
+        for c2 in range(c1 + 1, j):
+            v = lcs3_all_prefixes(letters[i - 1 : c1], letters[c1:c2], letters[c2:j])[-1]
+            if v > best_val:
+                best_val, best_cuts = v, (c1, c2)
+    if best_val == 0:
+        return None
+    c1, c2 = best_cuts
+    word, pa, pb, pc = lcs3_witness(letters[i - 1 : c1], letters[c1:c2], letters[c2:j])
+    copies = (
+        tuple(i - 1 + p for p in pa),
+        tuple(c1 + p for p in pb),
+        tuple(c2 + p for p in pc),
+    )
+    return SrsDecomposition((Block(tuple(word), 3, copies),))
+
+
+def test_pruned_cube_matches_unpruned_search():
+    rng = random.Random(26)
+    texts = [random_string(rng, 32, sigma=sigma, min_n=24) for sigma in (2, 3, 4, 5)]
+    texts += ["a" * 24, "ab" * 13, "abcabc" * 4 + "cab"]  # unary, and many tying cuts
+    seqs = [parse_sequence(t) for t in texts]
+    seqs.append(sequence_from_tokens([f"x{p}" for p in range(28)]))  # all distinct
+    for seq in seqs:
+        letters = seq.letters
+        assert cube_table(seq).rows == unpruned_cube_rows(letters), seq.render()
+        n = seq.n
+        intervals = [(1, n), (2, n), (1, n - 3), (n // 4, n - n // 4)]
+        intervals += [(i, i + rng.randint(2, n // 2)) for i in rng.sample(range(1, n // 2), 3)]
+        for i, j in intervals:
+            assert cube_witness(seq, i, j) == unpruned_cube_witness(seq, i, j), (
+                seq.render(),
+                i,
+                j,
+            )
