@@ -7,8 +7,14 @@ slope).  All reports are JSON documents on stdout; timings live in one
 subtree so the rest is byte-stable across runs.
 
 Exit codes: 0 ok, 2 input error, 3 budget or guard exceeded,
-4 internal invariant failure.  Exit 2 covers only errors raised while
-reading and parsing input; any other ValueError is internal.
+4 internal invariant failure, 130 interrupted (Ctrl-C), 141 stdout
+closed by its reader (broken pipe).  Exit 2 covers only errors raised
+while reading and parsing input; any other ValueError is internal.
+
+``--threads N`` (analyze, tables, bench) caps the worker processes that
+build the cube table's rows from n = ``tables.POOL_MIN_N`` (40) on; the default is the CPUs
+available to the process, capped at n, and 1 runs everything in this
+process.  Reports are the same for every worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import random
 import sys
 import time
@@ -50,12 +58,22 @@ from .oracles import (
     oracle_square_table,
 )
 from .plus3 import OccurrenceBoundError, lsrs_plus3
-from .tables import cube_table, cube_witness, square_table, square_witness
+from .tables import (
+    POOL_MIN_N,
+    available_cpus,
+    cube_table,
+    cube_witness,
+    square_table,
+    square_witness,
+    worker_count,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 
 
 class _InputError(Exception):
@@ -144,7 +162,7 @@ def cmd_analyze(args) -> int:
     index = OccurrenceIndex.from_sequence(seq)
     timing = {}
     t0 = time.perf_counter()
-    q2 = square_table(seq, args.threads)
+    q2 = square_table(seq)
     timing["square"] = round((time.perf_counter() - t0) * 1000.0, 3)
     t0 = time.perf_counter()
     q3 = cube_table(seq, args.threads)
@@ -153,6 +171,10 @@ def cmd_analyze(args) -> int:
     n = seq.n
     sq_len = q2.get(1, n) if n else 0
     cu_len = q3.get(1, n) if n else 0
+    t0 = time.perf_counter()
+    sq_wit = square_witness(seq, 1, n) if sq_len else None
+    cu_wit = cube_witness(seq, 1, n) if cu_len else None
+    timing["witnesses"] = round((time.perf_counter() - t0) * 1000.0, 3)
     report = {
         "input": {
             "n": n,
@@ -161,15 +183,11 @@ def cmd_analyze(args) -> int:
         },
         "square": {
             "length": sq_len,
-            "witness": _checked_witness_doc(
-                seq, square_witness(seq, 1, n) if sq_len else None, expect_length=sq_len
-            ),
+            "witness": _checked_witness_doc(seq, sq_wit, expect_length=sq_len),
         },
         "cube": {
             "length": cu_len,
-            "witness": _checked_witness_doc(
-                seq, cube_witness(seq, 1, n) if cu_len else None, expect_length=cu_len
-            ),
+            "witness": _checked_witness_doc(seq, cu_wit, expect_length=cu_len),
         },
     }
     t0 = time.perf_counter()
@@ -183,7 +201,7 @@ def cmd_analyze(args) -> int:
     }
     if index.max_occurrence <= 3:
         t0 = time.perf_counter()
-        plus = lsrs_plus3(seq, q2=q2, threads=args.threads)
+        plus = lsrs_plus3(seq, q2=q2)
         timing["lsrs_plus3"] = round((time.perf_counter() - t0) * 1000.0, 3)
         cover = frozenset(range(seq.alphabet_size)) if plus.feasible else frozenset()
         report["lsrs_plus3"] = {
@@ -296,15 +314,15 @@ def _bench_input(alg: str, n: int, seed: int) -> Sequence:
     return sequence_from_tokens([rng.choice("abcd") for _ in range(n)])
 
 
-def _bench_once(alg: str, seq: Sequence, threads: int) -> None:
+def _bench_once(alg: str, seq: Sequence, threads: int | None) -> None:
     if alg == "q2":
-        square_table(seq, threads)
+        square_table(seq)
     elif alg == "q3":
         cube_table(seq, threads)
     elif alg == "lsrs":
         lsrs(seq, threads=threads)
     else:
-        lsrs_plus3(seq, threads=threads)
+        lsrs_plus3(seq)
 
 
 def fitted_slope(points: list[tuple[int, float]]) -> float:
@@ -337,7 +355,18 @@ def cmd_bench(args) -> int:
             best = min(best, time.perf_counter() - t0)
         rows.append({"n": n, "seconds": round(best, 6)})
         points.append((n, best))
-    _emit(args, {"alg": args.alg, "seed": args.seed, "rows": rows, "slope": round(fitted_slope(points), 3)})
+    _emit(
+        args,
+        {
+            "alg": args.alg,
+            "seed": args.seed,
+            "python": platform.python_version(),
+            "cpus": available_cpus(),
+            "workers": worker_count(args.threads, max(sizes)),
+            "rows": rows,
+            "slope": round(fitted_slope(points), 3),
+        },
+    )
     return EXIT_OK
 
 
@@ -352,6 +381,7 @@ def _emit_text(args, text: str) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,10 +399,19 @@ def build_parser() -> argparse.ArgumentParser:
             help="refuse longer inputs (the cube stage is O(n^6))",
         )
 
+    def add_threads(p):
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help=f"most worker processes for cube-table rows at n >= {POOL_MIN_N} "
+            "(default: CPUs available, capped at n; 1 = no processes)",
+        )
+
     def add_common(p, with_guard=True):
         p.add_argument("input", nargs="?", help="input file, or - for stdin")
         p.add_argument("--tokens", action="store_true", help="whitespace-token input")
-        p.add_argument("--threads", type=int, default=1)
+        add_threads(p)
         p.add_argument("-o", "--output", help="write the report to a file")
         if with_guard:
             add_guard(p)
@@ -406,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated lengths")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=0, help="0 = pick automatically")
-    p.add_argument("--threads", type=int, default=1)
+    add_threads(p)
     p.add_argument("-o", "--output")
     add_guard(p)
     p.set_defaults(func=cmd_bench)
@@ -418,6 +457,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (_InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

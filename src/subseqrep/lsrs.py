@@ -32,7 +32,7 @@ class LsrsResult:
 
 def lsrs(
     seq: Sequence,
-    threads: int = 1,
+    threads: int | None = None,
     q2: IntervalTable | None = None,
     q3: IntervalTable | None = None,
 ) -> LsrsResult:
@@ -40,11 +40,12 @@ def lsrs(
 
     Ties in the argmax go to the smallest j, square before cube, so the
     witness is deterministic.  Blocks whose table entry is 0 are never
-    materialized; such a j only forwards L(j).
+    materialized; such a j only forwards L(j).  ``threads`` caps the
+    cube table's worker processes (see :func:`cube_table`).
     """
     n = seq.n
     if q2 is None:
-        q2 = square_table(seq, threads)
+        q2 = square_table(seq)
     if q3 is None:
         q3 = cube_table(seq, threads)
     for i in range(1, n + 1):

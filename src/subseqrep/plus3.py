@@ -199,13 +199,16 @@ def s2_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalT
 
 
 def feasibility_tables(
-    seq: Sequence, q2: IntervalTable | None = None, threads: int = 1
+    seq: Sequence, q2: IntervalTable | None = None, threads: int | None = None
 ) -> FeasibilityTables:
-    """Interval DP over covering solutions; trace records how each cell was won."""
+    """Interval DP over covering solutions; trace records how each cell was won.
+
+    Serial; ``threads`` is accepted for compatibility and has no effect.
+    """
     precheck(seq)
     n = seq.n
     if q2 is None:
-        q2 = square_table(seq, threads)
+        q2 = square_table(seq)
     cov = coverage_tables(seq)
     s3 = s3_table(seq, cov, q2)
     s2 = s2_table(seq, cov, q2)
@@ -282,12 +285,13 @@ def _rebuild(seq: Sequence, tabs: FeasibilityTables, i: int, j: int) -> list[Blo
 
 
 def lsrs_plus3(
-    seq: Sequence, q2: IntervalTable | None = None, threads: int = 1
+    seq: Sequence, q2: IntervalTable | None = None, threads: int | None = None
 ) -> Plus3Result:
     """Longest repeat subsequence covering the whole alphabet, at occurrence bound 3.
 
     Returns infeasible (length -1) when any letter occurs exactly once
-    or when no covering solution exists.
+    or when no covering solution exists.  Serial; ``threads`` is accepted
+    for compatibility and has no effect.
     """
     index = precheck(seq)
     n = seq.n
@@ -295,7 +299,7 @@ def lsrs_plus3(
         return Plus3Result(True, 0, SrsDecomposition(()))
     if index.singletons():
         return Plus3Result(False, -1, None)
-    tabs = feasibility_tables(seq, q2=q2, threads=threads)
+    tabs = feasibility_tables(seq, q2=q2)
     best = tabs.length.get(1, n) if n >= 2 else -1
     if best <= 0:
         return Plus3Result(False, -1, None)

@@ -1,6 +1,16 @@
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import pytest
+
+import subseqrep
+from subseqrep import cli, tables
 from subseqrep.cli import _bench_input, fitted_slope, main
 
 K3_GRAPH = "3 3\n0 1\n0 2\n1 2\n"
@@ -29,7 +39,7 @@ def test_analyze_worked_example(tmp_path, capsys):
     assert doc["lsrs"]["length"] == 10
     assert doc["lsrs"]["decomposition"]["total_length"] == 10
     assert "lsrs_plus3" not in doc  # a letter occurs five times
-    assert set(doc["timing_ms"]) == {"square", "cube", "lsrs"}
+    assert set(doc["timing_ms"]) == {"square", "cube", "witnesses", "lsrs"}
 
 
 def test_analyze_empty_input(tmp_path, capsys):
@@ -93,6 +103,21 @@ def test_analyze_deterministic_apart_from_timing(tmp_path, capsys):
     doc1.pop("timing_ms")
     doc2.pop("timing_ms")
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
+
+
+def test_analyze_report_independent_of_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tables, "POOL_MIN_N", 1)  # force the pool at these sizes
+    for text in ("ACGAGCGCAGCGA", "ababbcacc"):
+        path = write(tmp_path, "seq.txt", text + "\n")
+        reports = []
+        for threads in ([], ["--threads", "1"], ["--threads", "3"]):
+            code, out, _ = run_cli(capsys, "analyze", path, *threads)
+            assert code == 0
+            doc = json.loads(out)
+            assert set(doc["timing_ms"]) >= {"square", "cube", "witnesses", "lsrs"}
+            doc.pop("timing_ms")
+            reports.append(json.dumps(doc, indent=2))
+        assert reports[0] == reports[1] == reports[2]
 
 
 def test_tables_json(tmp_path, capsys):
@@ -314,3 +339,70 @@ def test_bench_guard(capsys, monkeypatch):
     assert out == "" and "--max-n 64" in err
     code, _, err = run_cli(capsys, "bench", "--alg", "q2", "--sizes", "4,16", "--max-n", "8")
     assert code == 3 and "--max-n 8" in err
+
+
+def test_interrupt_exits_130(tmp_path, capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_analyze", interrupted)
+    code, out, err = run_cli(capsys, "analyze", write(tmp_path, "seq.txt", "aa\n"))
+    assert code == 130
+    assert out == ""
+    assert err == "interrupted\n"
+
+
+def test_broken_pipe_exits_141(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    with open(tmp_path / "stdout.txt", "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["analyze", write(tmp_path, "seq.txt", "aa\n")])
+        monkeypatch.undo()
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def _cli_env():
+    env = dict(os.environ, PYTHONPATH=str(Path(subseqrep.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a shell pipeline
+    return env
+
+
+CLI = [sys.executable, "-m", "subseqrep.cli"]
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe fails
+    try:
+        proc = subprocess.run(
+            CLI + ["analyze", "-"], input="ababbcacc\n", stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+def test_ctrl_c_during_pool_exits_130_with_one_line(tmp_path):
+    # Ctrl-C signals the whole process group, pool workers included
+    path = write(tmp_path, "seq.txt", _bench_input("q3", 64, 0).render("") + "\n")
+    proc = subprocess.Popen(
+        CLI + ["analyze", path], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, env=_cli_env(), start_new_session=True,
+    )
+    try:
+        time.sleep(0.6)  # the n = 64 cube build takes seconds; by now its pool runs
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 130
+    assert err == "interrupted\n"
+    with pytest.raises(ProcessLookupError):  # no worker outlived the run
+        os.killpg(proc.pid, 0)
