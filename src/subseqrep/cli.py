@@ -11,7 +11,7 @@ Exit codes: 0 ok, 2 input error, 3 budget or guard exceeded,
 closed by its reader (broken pipe).  Exit 2 covers only errors raised
 while reading and parsing input; any other ValueError is internal.
 
-``--threads N`` (analyze, tables, bench) caps the worker processes that
+``--threads N`` (analyze, tables, bench; N >= 1) caps the worker processes that
 build the cube table's rows from n = ``tables.POOL_MIN_N`` (40) on; the default is the CPUs
 available to the process, capped at n, and 1 runs everything in this
 process.  Reports are the same for every worker count.
@@ -384,6 +384,19 @@ def _emit_text(args, text: str) -> None:
         sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
 
 
+def _int_at_least(least: int):
+    """argparse type: an integer no smaller than ``least`` (exit 2 otherwise)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subseqrep",
@@ -402,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_threads(p):
         p.add_argument(
             "--threads",
-            type=int,
+            type=_int_at_least(1),
             default=None,
             help=f"most worker processes for cube-table rows at n >= {POOL_MIN_N} "
             "(default: CPUs available, capped at n; 1 = no processes)",
@@ -444,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", choices=("q2", "q3", "lsrs", "plus3"), required=True)
     p.add_argument("--sizes", required=True, help="comma-separated lengths")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=0, help="0 = pick automatically")
+    p.add_argument("--reps", type=_int_at_least(0), default=0, help="0 = pick automatically")
     add_threads(p)
     p.add_argument("-o", "--output")
     add_guard(p)

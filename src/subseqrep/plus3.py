@@ -18,6 +18,13 @@ Interval lengths L[i,j] (-1 = infeasible) start from those local
 solutions and combine bottom-up over splits whose two sides are both
 feasible and jointly cover cover[i,j].  Feasibility of the whole
 sequence is L[1,n] > 0.  Total O(n^4), dominated by the square table.
+
+The split loop of [i, j] reads the left parts [i, k] from row i of L
+and of cover, and the right parts [k+1, j] from two column mirrors:
+cols_l[j-1][k] = L[k+1, j], written whenever a cell of L is set, and
+cols_c[j-1][k] = cover[k+1, j], built once from the cover masks.  One
+zip over the four sequences walks every split in increasing k, with no
+bounds-checked table call per split; the mirrors take O(n^2) ints.
 """
 
 from __future__ import annotations
@@ -88,17 +95,25 @@ class Plus3Result:
 def precheck(seq: Sequence) -> OccurrenceIndex:
     """Occurrence index of ``seq``; rejects sequences with a letter beyond 3."""
     index = OccurrenceIndex.from_sequence(seq)
-    d = index.max_occurrence
+    _check_bound(index.max_occurrence)
+    return index
+
+
+def _check_bound(d: int) -> None:
+    """Raise unless ``d``, the most occurrences of one letter, is at most 3."""
     if d > 3:
         raise OccurrenceBoundError(
             f"occurrence bound exceeded: some letter appears {d} times (limit 3); "
             "the constrained problem is NP-complete from 4 occurrences up"
         )
-    return index
 
 
 def _cover_masks(seq: Sequence) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Bitmask rows (letter id = bit) for cover / cover2 / cover3 per interval."""
+    """Bitmask rows (letter id = bit) for cover / cover2 / cover3 per interval.
+
+    Raises ``OccurrenceBoundError`` as ``precheck`` does, from the letter
+    counts of the first row (the whole sequence), before the other rows.
+    """
     n = seq.n
     letters = seq.letters
     sigma = seq.alphabet_size
@@ -129,6 +144,8 @@ def _cover_masks(seq: Sequence) -> tuple[list[list[int]], list[list[int]], list[
                 row_c2[idx] = repeated
             else:
                 row_c3[idx] = thrice
+        if i == 1:
+            _check_bound(max(counts))
         rows_c.append(row_c)
         rows_c2.append(row_c2)
         rows_c3.append(row_c3)
@@ -153,8 +170,10 @@ def _set_table(kind: str, rows: list[list[int]]) -> IntervalTable:
 
 
 def coverage_tables(seq: Sequence) -> CoverageTables:
-    """Coverage tables for every interval; O(n^2) masks, O(n^3) as sets."""
-    precheck(seq)
+    """Coverage tables for every interval; O(n^2) masks, O(n^3) as sets.
+
+    Rejects a letter beyond 3 with ``OccurrenceBoundError``, like ``precheck``.
+    """
     return CoverageTables(_cover_masks(seq))
 
 
@@ -165,36 +184,30 @@ def s3_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalT
     when the longest square reaches that length (such a square covers
     every cover3-letter: each can occur at most once per half), else -1.
     """
-    n = seq.n
     letters = seq.letters
-    rows_c3 = cov.masks[2]
-    table = IntervalTable(n, "covered-cube", -1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            want = rows_c3[i - 1][j - i]
+    table = IntervalTable(seq.n, "covered-cube", -1)
+    for i, (row_c3, row_q2, row) in enumerate(zip(cov.masks[2], q2.rows, table.rows)):
+        for d, want in enumerate(row_c3):
             if not want:
                 continue
-            restricted = [a for a in letters[i - 1 : j] if want >> a & 1]
+            restricted = [a for a in letters[i : i + d + 1] if want >> a & 1]
             size = want.bit_count()
             if len(restricted) != 3 * size:
                 raise AssertionError("cover3 letters must occur exactly 3 times")
             if restricted[:size] == restricted[size : 2 * size] == restricted[2 * size :]:
-                table.set(i, j, 3 * size)
-            elif q2.get(i, j) == 2 * size:
-                table.set(i, j, 2 * size)
+                row[d] = 3 * size
+            elif row_q2[d] == 2 * size:
+                row[d] = 2 * size
     return table
 
 
 def s2_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalTable:
     """Best covering square per interval, -1 when none (same length test)."""
-    n = seq.n
-    rows_c2 = cov.masks[1]
-    table = IntervalTable(n, "covered-square", -1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            size = rows_c2[i - 1][j - i].bit_count()
-            if size and q2.get(i, j) == 2 * size:
-                table.set(i, j, 2 * size)
+    table = IntervalTable(seq.n, "covered-square", -1)
+    for row_c2, row_q2, row in zip(cov.masks[1], q2.rows, table.rows):
+        for d, (want, best) in enumerate(zip(row_c2, row_q2)):
+            if want and best == 2 * want.bit_count():
+                row[d] = best
     return table
 
 
@@ -205,25 +218,29 @@ def feasibility_tables(
 
     Serial; ``threads`` is accepted for compatibility and has no effect.
     """
-    precheck(seq)
+    cov = coverage_tables(seq)  # rejects a letter beyond 3 before the square table
     n = seq.n
     if q2 is None:
         q2 = square_table(seq)
-    cov = coverage_tables(seq)
     s3 = s3_table(seq, cov, q2)
     s2 = s2_table(seq, cov, q2)
     rows_c, _, rows_c3 = cov.masks
 
     length = IntervalTable(n, "feasible-length", -1)
+    rows_l = length.rows
+    # column mirrors: cols_l[j - 1][k] = L[k + 1, j], cols_c[j - 1][k] = cover[k + 1, j]
+    cols_l = [[-1] * j for j in range(1, n + 1)]
+    cols_c = [[rows_c[k][j - k - 1] for k in range(j)] for j in range(1, n + 1)]
     trace: dict = {}
     for span in range(2, n + 1):
         for i in range(1, n - span + 2):
             j = i + span - 1
-            v3 = s3.get(i, j)
-            v2 = s2.get(i, j)
+            d = span - 1
+            v3 = s3.rows[i - 1][d]
+            v2 = s2.rows[i - 1][d]
             if v3 > 0:
                 best = v3
-                is_cube = v3 == 3 * rows_c3[i - 1][j - i].bit_count()
+                is_cube = v3 == 3 * rows_c3[i - 1][d].bit_count()
                 kind: tuple = ("cube3",) if is_cube else ("square3",)
             elif v2 > 0:
                 best = v2
@@ -231,17 +248,14 @@ def feasibility_tables(
             else:
                 best = -1
                 kind = ()
-            whole = rows_c[i - 1][j - i]
-            row_i = rows_c[i - 1]
-            for k in range(i, j):
-                left = length.get(i, k)
-                if left <= 0:
+            row_c = rows_c[i - 1]
+            whole = row_c[d]
+            # split k: left part [i, k] from row i, right part [k + 1, j] from column j
+            for k, left, right, left_mask, right_mask in zip(
+                range(i, j), rows_l[i - 1], cols_l[j - 1][i:], row_c, cols_c[j - 1][i:]
+            ):
+                if left <= 0 or right <= 0:
                     continue
-                right = length.get(k + 1, j)
-                if right <= 0:
-                    continue
-                left_mask = row_i[k - i]
-                right_mask = rows_c[k][j - k - 1]
                 if left_mask | right_mask != whole:
                     continue
                 if left_mask & right_mask:
@@ -252,7 +266,8 @@ def feasibility_tables(
                     best = left + right
                     kind = ("split", k)
             if best > 0:
-                length.set(i, j, best)
+                rows_l[i - 1][d] = best
+                cols_l[j - 1][i - 1] = best
                 trace[(i, j)] = kind
     return FeasibilityTables(s2, s3, length, trace)
 

@@ -280,8 +280,34 @@ def test_bench_command(tmp_path, capsys):
     doc = json.loads(out)
     assert [row["n"] for row in doc["rows"]] == [4, 8]
     assert "slope" in doc
+    code, out, _ = run_cli(
+        capsys, "bench", "--alg", "q2", "--sizes", "4,8", "--reps", "0", "--threads", "1"
+    )
+    assert code == 0 and json.loads(out)["workers"] == 1
     code, _, err = run_cli(capsys, "bench", "--alg", "q2", "--sizes", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--alg", "q3", "--sizes", "8,16", "--reps", "-2"),
+        ("bench", "--alg", "q2", "--sizes", "4,8", "--threads", "-3"),
+        ("bench", "--alg", "q2", "--sizes", "4,8", "--threads", "0"),
+        ("analyze", "-", "--threads", "0"),
+        ("tables", "-", "--which", "q2", "--threads", "0"),
+    ],
+)
+def test_out_of_range_counts_rejected_while_parsing(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("a command ran with an out-of-range count")
+
+    for name in ("_bench_once", "read_sequence"):
+        monkeypatch.setattr(f"subseqrep.cli.{name}", never)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_fitted_slope():

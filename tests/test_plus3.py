@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from subseqrep.core import OccurrenceIndex, parse_sequence, validate_srs
+from subseqrep.core import OccurrenceIndex, parse_sequence, sequence_from_tokens, validate_srs
 from subseqrep.lsrs import lsrs
 from subseqrep.oracles import oracle_lsrs_plus
 from subseqrep.plus3 import (
@@ -16,7 +16,7 @@ from subseqrep.plus3 import (
     s2_table,
     s3_table,
 )
-from subseqrep.tables import square_table
+from subseqrep.tables import IntervalTable, square_table
 
 from helpers import random_bound3_string, strings_up_to
 
@@ -188,6 +188,27 @@ def test_occurrence_bound_propagates():
         lsrs_plus3(parse_sequence("aaaab"))
     with pytest.raises(OccurrenceBoundError):
         ft3(parse_sequence("aaaa"))
+    s = parse_sequence("abaacbcaa")
+    with pytest.raises(OccurrenceBoundError) as want:
+        precheck(s)
+    assert "appears 5 times" in str(want.value)
+    for solver in (coverage_tables, feasibility_tables, lsrs_plus3):
+        with pytest.raises(OccurrenceBoundError) as got:
+            solver(s)
+        assert str(got.value) == str(want.value), solver.__name__
+
+
+def test_occurrence_index_built_once_per_solve(monkeypatch):
+    calls = []
+    build = OccurrenceIndex.from_sequence.__func__
+
+    def counted(cls, seq):
+        calls.append(seq)
+        return build(cls, seq)
+
+    monkeypatch.setattr(OccurrenceIndex, "from_sequence", classmethod(counted))
+    assert lsrs_plus3(parse_sequence("ababbcacc")).length == 7
+    assert len(calls) == 1
 
 
 def test_exhaustive_three_letters_small():
@@ -231,3 +252,137 @@ def test_update_step_needed_beyond_initialization():
     assert tabs.s3.get(1, 9) == -1 and tabs.s2.get(1, 9) == -1
     assert tabs.length.get(1, 9) == 7
     assert tabs.trace[(1, 9)][0] == "split"
+
+
+# --- reference: the bounds-checked interval DP ------------------------------
+
+
+def reference_s3_table(seq, cov, q2):
+    """``s3_table`` with one ``get``/``set`` call per cell."""
+    n = seq.n
+    letters = seq.letters
+    rows_c3 = cov.masks[2]
+    table = IntervalTable(n, "covered-cube", -1)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            want = rows_c3[i - 1][j - i]
+            if not want:
+                continue
+            restricted = [a for a in letters[i - 1 : j] if want >> a & 1]
+            size = want.bit_count()
+            if len(restricted) != 3 * size:
+                raise AssertionError("cover3 letters must occur exactly 3 times")
+            if restricted[:size] == restricted[size : 2 * size] == restricted[2 * size :]:
+                table.set(i, j, 3 * size)
+            elif q2.get(i, j) == 2 * size:
+                table.set(i, j, 2 * size)
+    return table
+
+
+def reference_s2_table(seq, cov, q2):
+    """``s2_table`` with one ``get``/``set`` call per cell."""
+    n = seq.n
+    rows_c2 = cov.masks[1]
+    table = IntervalTable(n, "covered-square", -1)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            size = rows_c2[i - 1][j - i].bit_count()
+            if size and q2.get(i, j) == 2 * size:
+                table.set(i, j, 2 * size)
+    return table
+
+
+def reference_feasibility_tables(seq):
+    """The interval DP reading both split parts through ``IntervalTable.get``.
+
+    Same span, i and k order and the same strict ``>`` as the solver, so
+    the smallest split point wins ties.
+    """
+    n = seq.n
+    q2 = square_table(seq)
+    cov = coverage_tables(seq)
+    s3 = reference_s3_table(seq, cov, q2)
+    s2 = reference_s2_table(seq, cov, q2)
+    rows_c, _, rows_c3 = cov.masks
+    length = IntervalTable(n, "feasible-length", -1)
+    trace = {}
+    for span in range(2, n + 1):
+        for i in range(1, n - span + 2):
+            j = i + span - 1
+            v3 = s3.get(i, j)
+            v2 = s2.get(i, j)
+            if v3 > 0:
+                best = v3
+                is_cube = v3 == 3 * rows_c3[i - 1][j - i].bit_count()
+                kind = ("cube3",) if is_cube else ("square3",)
+            elif v2 > 0:
+                best = v2
+                kind = ("square2",)
+            else:
+                best = -1
+                kind = ()
+            whole = rows_c[i - 1][j - i]
+            for k in range(i, j):
+                left = length.get(i, k)
+                if left <= 0:
+                    continue
+                right = length.get(k + 1, j)
+                if right <= 0:
+                    continue
+                left_mask = rows_c[i - 1][k - i]
+                right_mask = rows_c[k][j - k - 1]
+                if left_mask | right_mask != whole:
+                    continue
+                if left_mask & right_mask:
+                    raise AssertionError("repeat sets of split parts must be disjoint")
+                if left + right > best:
+                    best = left + right
+                    kind = ("split", k)
+            if best > 0:
+                length.set(i, j, best)
+                trace[(i, j)] = kind
+    return s2, s3, length, trace
+
+
+def planted_bound3(rng, n):
+    """Blocks X^2 / X^3 of fresh letters: a covering solution by construction."""
+    tokens = []
+    fresh = 0
+    while len(tokens) < n:
+        left = n - len(tokens)
+        shapes = [
+            (r, e) for e in (2, 3) for r in range(1, 6) if r * e <= left and left - r * e != 1
+        ]
+        r, e = rng.choice(shapes)
+        tokens.extend([f"t{fresh + k}" for k in range(r)] * e)
+        fresh += r
+    return tokens
+
+
+def _differential_inputs():
+    rng = random.Random(47)
+    for n in (8, 13, 24, 40, 57, 80):
+        planted = planted_bound3(rng, n)
+        yield f"planted n={n}", planted
+        shuffled = planted[:]
+        rng.shuffle(shuffled)
+        yield f"shuffled n={n}", shuffled
+    for n in range(2, 81, 6):
+        yield f"random n={n}", list(random_bound3_string(rng, n, min_n=n))
+    yield "no repeated letter", list("abcdefgh")
+
+
+def test_feasibility_matches_bounds_checked_reference():
+    feasible = 0
+    for label, tokens in _differential_inputs():
+        s = sequence_from_tokens(tokens)
+        want_s2, want_s3, want_length, want_trace = reference_feasibility_tables(s)
+        got = feasibility_tables(s)
+        assert got.length.rows == want_length.rows, label
+        assert got.trace == want_trace, label
+        assert got.s2.rows == want_s2.rows, label
+        assert got.s3.rows == want_s3.rows, label
+        if label == "no repeated letter":
+            assert all(v == -1 for _, _, v in got.length.cells()) and not got.trace
+        feasible += got.length.get(1, s.n) > 0
+    assert feasible >= 6  # at least the planted strings
