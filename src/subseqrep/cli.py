@@ -14,7 +14,9 @@ while reading and parsing input; any other ValueError is internal.
 ``--threads N`` (analyze, tables, bench; N >= 1) caps the worker processes that
 build the cube table's rows from n = ``tables.POOL_MIN_N`` (40) on; the default is the CPUs
 available to the process, capped at n, and 1 runs everything in this
-process.  Reports are the same for every worker count.
+process.  Reports are the same for every worker count.  analyze builds
+no full cube table, only the cells its LSRS DP can pick, serially, so
+there the option is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ import platform
 import random
 import sys
 import time
+from collections import Counter
 
 from .core import (
-    OccurrenceIndex,
     Sequence,
     SrsDecomposition,
     parse_sequence,
@@ -63,6 +65,7 @@ from .tables import (
     available_cpus,
     cube_table,
     cube_witness,
+    longer_cube_exists,
     square_table,
     square_witness,
     worker_count,
@@ -159,27 +162,30 @@ def cmd_analyze(args) -> int:
     seq = read_sequence(args.input, args.tokens)
     if _over_guard(seq.n, args.max_n):
         return EXIT_BUDGET
-    index = OccurrenceIndex.from_sequence(seq)
-    timing = {}
+    n = seq.n
     t0 = time.perf_counter()
     q2 = square_table(seq)
-    timing["square"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    t0 = time.perf_counter()
-    q3 = cube_table(seq, args.threads)
-    timing["cube"] = round((time.perf_counter() - t0) * 1000.0, 3)
-
-    n = seq.n
+    square_ms = _ms_since(t0)
     sq_len = q2.get(1, n) if n else 0
-    cu_len = q3.get(1, n) if n else 0
     t0 = time.perf_counter()
     sq_wit = square_witness(seq, 1, n) if sq_len else None
-    cu_wit = cube_witness(seq, 1, n) if cu_len else None
-    timing["witnesses"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    cu_wit = cube_witness(seq, 1, n) if n else None
+    witnesses_ms = _ms_since(t0)
+    # the witness bounds the longest cube from below, one bounded cube
+    # row from above
+    if cu_wit is not None and [b.exponent for b in cu_wit.blocks] != [3]:
+        raise _InternalError("cube witness is not a single exponent-3 block")
+    cu_len = cu_wit.total_length if cu_wit else 0
+    t0 = time.perf_counter()
+    if longer_cube_exists(seq, cu_len // 3):
+        raise _InternalError(f"a cube longer than the witness's {cu_len} exists")
+    timing = {"square": square_ms, "cube": _ms_since(t0), "witnesses": witnesses_ms}
+    max_occurrence = max(Counter(seq.letters).values(), default=0)
     report = {
         "input": {
             "n": n,
             "alphabet": seq.alphabet_size,
-            "max_occurrence": index.max_occurrence,
+            "max_occurrence": max_occurrence,
         },
         "square": {
             "length": sq_len,
@@ -187,22 +193,22 @@ def cmd_analyze(args) -> int:
         },
         "cube": {
             "length": cu_len,
-            "witness": _checked_witness_doc(seq, cu_wit, expect_length=cu_len),
+            "witness": _checked_witness_doc(seq, cu_wit),
         },
     }
     t0 = time.perf_counter()
-    result = lsrs(seq, threads=args.threads, q2=q2, q3=q3)
-    timing["lsrs"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    result = lsrs(seq, q2=q2)
+    timing["lsrs"] = _ms_since(t0)
     report["lsrs"] = {
         "length": result.length,
         "decomposition": _checked_witness_doc(
             seq, result.decomposition, expect_length=result.length
         ),
     }
-    if index.max_occurrence <= 3:
+    if max_occurrence <= 3:
         t0 = time.perf_counter()
         plus = lsrs_plus3(seq, q2=q2)
-        timing["lsrs_plus3"] = round((time.perf_counter() - t0) * 1000.0, 3)
+        timing["lsrs_plus3"] = _ms_since(t0)
         cover = frozenset(range(seq.alphabet_size)) if plus.feasible else frozenset()
         report["lsrs_plus3"] = {
             "feasible": plus.feasible,
@@ -217,6 +223,10 @@ def cmd_analyze(args) -> int:
     report["timing_ms"] = timing
     _emit(args, report)
     return EXIT_OK
+
+
+def _ms_since(t0: float) -> float:
+    return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
 def cmd_tables(args) -> int:
@@ -429,7 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
         if with_guard:
             add_guard(p)
 
-    p = sub.add_parser("analyze", help="run every solver on one sequence")
+    p = sub.add_parser(
+        "analyze",
+        help="run every solver on one sequence",
+        epilog="--threads is accepted and has no effect here: analyze builds "
+        "no full cube table, only the cube cells its LSRS DP can pick.",
+    )
     add_common(p)
     p.set_defaults(func=cmd_analyze)
 

@@ -212,12 +212,9 @@ def s2_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalT
 
 
 def feasibility_tables(
-    seq: Sequence, q2: IntervalTable | None = None, threads: int | None = None
+    seq: Sequence, q2: IntervalTable | None = None
 ) -> FeasibilityTables:
-    """Interval DP over covering solutions; trace records how each cell was won.
-
-    Serial; ``threads`` is accepted for compatibility and has no effect.
-    """
+    """Interval DP over covering solutions; trace records how each cell was won."""
     cov = coverage_tables(seq)  # rejects a letter beyond 3 before the square table
     n = seq.n
     if q2 is None:
@@ -299,14 +296,11 @@ def _rebuild(seq: Sequence, tabs: FeasibilityTables, i: int, j: int) -> list[Blo
     return [wit.blocks[0]]
 
 
-def lsrs_plus3(
-    seq: Sequence, q2: IntervalTable | None = None, threads: int | None = None
-) -> Plus3Result:
+def lsrs_plus3(seq: Sequence, q2: IntervalTable | None = None) -> Plus3Result:
     """Longest repeat subsequence covering the whole alphabet, at occurrence bound 3.
 
     Returns infeasible (length -1) when any letter occurs exactly once
-    or when no covering solution exists.  Serial; ``threads`` is accepted
-    for compatibility and has no effect.
+    or when no covering solution exists.
     """
     index = precheck(seq)
     n = seq.n

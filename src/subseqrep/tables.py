@@ -159,7 +159,17 @@ def _square_row(letters: tuple[int, ...], s: int) -> list[int]:
     return best
 
 
-def _cube_row(letters: tuple[int, ...], pre: list, s: int) -> list[int]:
+def _cube_row(
+    letters: tuple[int, ...], pre: list, s: int, floor: list[int] | None = None
+) -> list[int]:
+    """Row s of the cube table: Q3[s, j] at index j - s.
+
+    ``floor`` (one root length per cell, non-decreasing along the row)
+    asks only for roots longer than it: such cells come back exact and
+    every other cell as 0.  It seeds ``best``, so the screens below skip
+    every cut pair that cannot beat it; they take the first open cell's
+    threshold as the row's smallest, hence the order requirement.
+    """
     # best[j - s]: longest cube root found in S[s..j].  cap[j - s] is the
     # sum over letters of count // 3 in S[s..j], which bounds it from above;
     # a letter seen 3 times is already a root of length 1.  Cells outside
@@ -174,7 +184,11 @@ def _cube_row(letters: tuple[int, ...], pre: list, s: int) -> list[int]:
             room += 1
         cap.append(room)
     best = [1 if v else 0 for v in cap]
-    lo, hi = (cap.index(2), len(cap) - 1) if room > 1 else (0, -1)
+    if floor is not None:
+        if any(a > b for a, b in zip(floor, floor[1:])):
+            raise ValueError(f"cube row {s}: floor decreases along the row")
+        best = [min(max(v, f), c) for v, f, c in zip(best, floor, cap)]
+    lo, hi = _open_cells(best, cap, 0, len(cap) - 1)
     for c1 in range(s, n - 1):
         if c1 - s + 1 >= hi:
             break
@@ -207,6 +221,8 @@ def _cube_row(letters: tuple[int, ...], pre: list, s: int) -> list[int]:
                 if f[k] > best[base + k]:
                     best[base + k] = f[k]
             lo, hi = _open_cells(best, cap, lo, hi)
+    if floor is not None:
+        return [v + v + v if v > f else 0 for v, f in zip(best, floor)]
     return [v + v + v for v in best]
 
 
@@ -257,6 +273,16 @@ def cube_table(seq: Sequence, threads: int | None = None) -> IntervalTable:
         table.rows = [row_fn(s) for s in range(1, n + 1)]
     _check_repeat_table(table, 3)
     return table
+
+
+def longer_cube_exists(seq: Sequence, root: int) -> bool:
+    """Does ``seq`` hold a cubic subsequence with a root longer than ``root``?
+
+    One cube row with ``root`` as every cell's floor, so only the cut
+    pairs that could beat it run the 3-way DP.
+    """
+    n = seq.n
+    return n > 0 and _cube_row(seq.letters, [None] * n, 1, [root] * n)[-1] > 0
 
 
 def _check_repeat_table(table: IntervalTable, divisor: int) -> None:

@@ -12,6 +12,7 @@ import pytest
 import subseqrep
 from subseqrep import cli, tables
 from subseqrep.cli import _bench_input, fitted_slope, main
+from subseqrep.core import Block, SrsDecomposition, parse_sequence, validate_srs
 
 K3_GRAPH = "3 3\n0 1\n0 2\n1 2\n"
 
@@ -253,6 +254,26 @@ def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "internal invariant failure" in err
 
 
+def test_analyze_catches_a_cube_witness_one_root_short(tmp_path, capsys, monkeypatch):
+    real = cli.cube_witness
+
+    def one_short(seq, i, j):
+        (block,) = real(seq, i, j).blocks
+        copies = tuple(copy[1:] for copy in block.copies)
+        return SrsDecomposition((Block(block.root[1:], 3, copies),))
+
+    text = "abc" * 21 + "a"
+    code, out, _ = run_cli(capsys, "analyze", write(tmp_path, "seq.txt", text + "\n"))
+    assert code == 0 and json.loads(out)["cube"]["length"] == 63
+    assert validate_srs(parse_sequence(text), one_short(parse_sequence(text), 1, 64)) == []
+    monkeypatch.setattr(cli, "cube_witness", one_short)
+    for seq_text in ("ACGAGCGCAGCGA", text):
+        path = write(tmp_path, "seq.txt", seq_text + "\n")
+        code, out, err = run_cli(capsys, "analyze", path)
+        assert code == 4 and out == ""
+        assert err.startswith("internal invariant failure") and err.count("\n") == 1
+
+
 def test_reduce_rejects_empty_formula(tmp_path, capsys):
     path = write(tmp_path, "empty.graph", "0 0\n")
     code, _, err = run_cli(capsys, "reduce", "--from", "coloring", "--to", "string", path)
@@ -418,11 +439,11 @@ def test_ctrl_c_during_pool_exits_130_with_one_line(tmp_path):
     # Ctrl-C signals the whole process group, pool workers included
     path = write(tmp_path, "seq.txt", _bench_input("q3", 64, 0).render("") + "\n")
     proc = subprocess.Popen(
-        CLI + ["analyze", path], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True, env=_cli_env(), start_new_session=True,
+        CLI + ["tables", "--which", "q3", path], stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, env=_cli_env(), start_new_session=True,
     )
     try:
-        time.sleep(0.6)  # the n = 64 cube build takes seconds; by now its pool runs
+        time.sleep(0.6)  # the n = 64 cube table takes seconds; by now its pool runs
         os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=60)
     finally:

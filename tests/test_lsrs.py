@@ -1,9 +1,11 @@
 import random
 
-from subseqrep.core import parse_sequence, validate_srs
+import pytest
+
+from subseqrep.core import parse_sequence, sequence_from_tokens, validate_srs
 from subseqrep.lsrs import lsrs
 from subseqrep.oracles import oracle_lsrs
-from subseqrep.tables import cube_table, square_table
+from subseqrep.tables import _cube_row, cube_table, square_table
 
 from helpers import random_string, strings_up_to
 
@@ -78,3 +80,40 @@ def test_deterministic_across_threads():
         one = lsrs(s, threads=1)
         four = lsrs(s, threads=4)
         assert one == four
+
+
+def _targeted_cases():
+    rng = random.Random(34)
+    cases = [random_string(rng, 40, sigma=rng.randint(2, 8), min_n=24) for _ in range(14)]
+    cases.append(random_string(rng, 48, sigma=2, min_n=48))
+    for root, n in (("ab", 64), ("abc", 63), ("aab", 48), ("abcd", 64), ("aabb", 48)):
+        cases.append((root * n)[:n])
+    cases += ["a" * 64, "a" * 31]
+    return [parse_sequence(text) for text in cases] + [
+        sequence_from_tokens([f"x{i}" for i in range(64)])
+    ]
+
+
+@pytest.mark.parametrize("s", _targeted_cases(), ids=lambda s: f"n{s.n}")
+def test_targeted_cube_cells_match_full_table(s):
+    # without q3, lsrs builds only the cube cells its DP can pick
+    q2 = square_table(s)
+    assert lsrs(s) == lsrs(s, q2=q2, q3=cube_table(s))
+
+
+def test_cube_row_floor_keeps_exact_cells_above_it():
+    rng = random.Random(35)
+    for _ in range(20):
+        s = parse_sequence(random_string(rng, 26, sigma=rng.randint(2, 4), min_n=8))
+        q3 = cube_table(s)
+        for start in range(1, s.n + 1):
+            floor = sorted(rng.randint(0, 4) for _ in range(s.n - start + 1))
+            row = _cube_row(s.letters, [None] * s.n, start, floor)
+            for got, full, f in zip(row, q3.rows[start - 1], floor):
+                assert got == (full if full > 3 * f else 0), s.render()
+
+
+def test_cube_row_rejects_decreasing_floor():
+    s = parse_sequence("abcabcabc")
+    with pytest.raises(ValueError):
+        _cube_row(s.letters, [None] * s.n, 1, [0, 0, 0, 0, 2, 1, 2, 2, 2])
