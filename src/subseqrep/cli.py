@@ -65,10 +65,10 @@ from .tables import (
     available_cpus,
     cube_table,
     cube_witness,
+    cube_workers,
     longer_cube_exists,
     square_table,
     square_witness,
-    worker_count,
 )
 
 EXIT_OK = 0
@@ -347,6 +347,8 @@ def fitted_slope(points: list[tuple[int, float]]) -> float:
 
 
 def cmd_bench(args) -> int:
+    import statistics  # here, not at the top: analyze never needs it
+
     sizes = _parsed(_int_list, args.sizes, ",")
     if len(sizes) < 2:
         print("need at least two sizes", file=sys.stderr)
@@ -358,26 +360,54 @@ def cmd_bench(args) -> int:
     for n in sizes:
         seq = _bench_input(args.alg, n, args.seed)
         reps = args.reps if args.reps else (5 if n <= 16 else 1)
-        best = math.inf
+        times = []
         for _ in range(reps):
             t0 = time.perf_counter()
             _bench_once(args.alg, seq, args.threads)
-            best = min(best, time.perf_counter() - t0)
-        rows.append({"n": n, "seconds": round(best, 6)})
+            times.append(time.perf_counter() - t0)
+        best = min(times)
+        rows.append(
+            {
+                "n": n,
+                "seconds": round(best, 6),
+                "median": round(statistics.median(times), 6),
+                "times": [round(t, 6) for t in times],
+            }
+        )
         points.append((n, best))
+    # only q3 starts worker processes, and only from POOL_MIN_N on
+    workers = cube_workers(args.threads, max(sizes)) if args.alg == "q3" else 1
     _emit(
         args,
         {
             "alg": args.alg,
             "seed": args.seed,
+            "git": _git_head(),
             "python": platform.python_version(),
             "cpus": available_cpus(),
-            "workers": worker_count(args.threads, max(sizes)),
+            "workers": workers,
             "rows": rows,
             "slope": round(fitted_slope(points), 3),
         },
     )
     return EXIT_OK
+
+
+def _git_head() -> str | None:
+    """HEAD sha of the git checkout that holds this package, or None outside one."""
+    import subprocess  # here, not at the top: analyze never needs it
+
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):  # no git, or it hung
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def _emit(args, doc) -> None:

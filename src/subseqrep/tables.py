@@ -27,6 +27,16 @@ last open cell.  The pairwise LCS values come from prefix vectors
 pre[s][m][k] = LCS(S[s..m], S[m+1..m+k]), built with the bit-parallel
 2-way engine once per start, on first use: O(n^2) vectors, O(n^3) ints.
 
+A bounded row (one with a floor, as ``lsrs`` and ``longer_cube_exists``
+build them) adds a third pairwise screen, LCS(a, b, c[:k]) <=
+LCS(a, c[:k]), from one bit-parallel row of a against c per pair that
+passes the others.  There the floor keeps the thresholds high, and the
+screen cuts the 3-way DPs of ``longer_cube_exists`` about 4x (637 to 150
+over ten random ACGT strings of length 48).  ``cube_table`` leaves it
+out: it made the full table about 2.2x faster at n = 48, which pulls the
+fitted cube slope of acceptance criterion 6 (n = 8/16/32) to 4.39-4.48,
+under its 4.5 floor (ROADMAP item 5).
+
 Cube rows (one per suffix start) are independent, so from
 ``POOL_MIN_N`` on they run in a ``multiprocessing`` pool of up to
 ``threads`` worker processes (default: the CPUs available to this
@@ -123,6 +133,12 @@ def worker_count(threads: int | None, n: int) -> int:
     return min(available_cpus() if threads is None else threads, n)
 
 
+def cube_workers(threads: int | None, n: int) -> int:
+    """Worker processes ``cube_table`` runs for a sequence of length ``n``:
+    1 (this process alone) below ``POOL_MIN_N``."""
+    return worker_count(threads, n) if n >= POOL_MIN_N else 1
+
+
 def _pool_rows(row_fn, n: int, workers: int) -> list:
     """``[row_fn(s) for s in 1..n]`` computed in ``workers`` processes."""
     import multiprocessing
@@ -168,7 +184,10 @@ def _cube_row(
     asks only for roots longer than it: such cells come back exact and
     every other cell as 0.  It seeds ``best``, so the screens below skip
     every cut pair that cannot beat it; they take the first open cell's
-    threshold as the row's smallest, hence the order requirement.
+    threshold as the row's smallest, hence the order requirement.  With
+    a floor, a pair must also pass LCS(a, c[:k]) > best at the first
+    cell its DP would raise; without one the row runs the screens of the
+    full table alone (see the module docstring).
     """
     # best[j - s]: longest cube root found in S[s..j].  cap[j - s] is the
     # sum over letters of count // 3 in S[s..j], which bounds it from above;
@@ -216,6 +235,14 @@ def _cube_row(
             else:
                 continue
             c = letters[c2 : c2 + end]
+            if floor is not None:
+                ac = lcs2_all_prefixes(a, c)
+                for k in range(k, end + 1):
+                    t = best[base + k]
+                    if ac[k] > t and bc[k] > t and ab > t and cap[base + k] > t:
+                        break
+                else:
+                    continue
             f = lcs3_all_prefixes(a, letters[c1:c2], c)
             for k in range(k, end + 1):
                 if f[k] > best[base + k]:
@@ -265,7 +292,7 @@ def cube_table(seq: Sequence, threads: int | None = None) -> IntervalTable:
     """
     n = seq.n
     row_fn = partial(_cube_row, seq.letters, [None] * n)
-    workers = worker_count(threads, n) if n >= POOL_MIN_N else 1
+    workers = cube_workers(threads, n)
     table = IntervalTable(n, "cube")
     if workers > 1:
         table.rows = _pool_rows(row_fn, n, workers)
@@ -279,7 +306,9 @@ def longer_cube_exists(seq: Sequence, root: int) -> bool:
     """Does ``seq`` hold a cubic subsequence with a root longer than ``root``?
 
     One cube row with ``root`` as every cell's floor, so only the cut
-    pairs that could beat it run the 3-way DP.
+    pairs that could beat it run the 3-way DP: each must have LCS(a, b),
+    LCS(b, c), LCS(a, c) and the letter-count bound all above ``root``
+    (the bounded row's screens, see the module docstring).
     """
     n = seq.n
     return n > 0 and _cube_row(seq.letters, [None] * n, 1, [root] * n)[-1] > 0

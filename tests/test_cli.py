@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -307,6 +308,44 @@ def test_bench_command(tmp_path, capsys):
     assert code == 0 and json.loads(out)["workers"] == 1
     code, _, err = run_cli(capsys, "bench", "--alg", "q2", "--sizes", "4")
     assert code == 2
+    code, out, _ = run_cli(capsys, "bench", "--alg", "lsrs", "--sizes", "4,8", "--reps", "3")
+    assert code == 0
+    doc = json.loads(out)
+    for row in doc["rows"]:
+        assert len(row["times"]) == 3
+        assert row["seconds"] == min(row["times"])
+        assert row["median"] == sorted(row["times"])[1]
+    assert doc["git"] is None or len(doc["git"]) == 40
+
+
+@pytest.mark.parametrize(
+    "argv, workers",
+    [
+        (("--alg", "lsrs", "--sizes", "8,16"), 1),
+        (("--alg", "q3", "--sizes", "8,16"), 1),
+        (("--alg", "q2", "--sizes", "40,48"), 1),
+        (("--alg", "plus3", "--sizes", "40,48"), 1),
+        (("--alg", "q3", "--sizes", "8,48"), min(tables.available_cpus(), 48)),
+        (("--alg", "q3", "--sizes", "8,48", "--threads", "1"), 1),
+    ],
+)
+def test_bench_reports_the_workers_it_used(capsys, monkeypatch, argv, workers):
+    # only the cube table starts processes, and only from POOL_MIN_N on
+    monkeypatch.setattr(cli, "_bench_once", lambda alg, seq, threads: None)
+    code, out, _ = run_cli(capsys, "bench", *argv)
+    assert code == 0 and json.loads(out)["workers"] == workers
+
+
+def test_bench_git_is_null_outside_a_checkout(tmp_path):
+    shutil.copytree(Path(subseqrep.__file__).parent, tmp_path / "subseqrep")
+    # git must not look above tmp_path, which may sit inside some checkout
+    env = dict(_cli_env(), PYTHONPATH=str(tmp_path), GIT_CEILING_DIRECTORIES=str(tmp_path))
+    proc = subprocess.run(
+        CLI + ["bench", "--alg", "q2", "--sizes", "2,3", "--reps", "1"],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["git"] is None
 
 
 @pytest.mark.parametrize(

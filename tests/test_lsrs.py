@@ -111,6 +111,17 @@ def test_cube_row_floor_keeps_exact_cells_above_it():
             row = _cube_row(s.letters, [None] * s.n, start, floor)
             for got, full, f in zip(row, q3.rows[start - 1], floor):
                 assert got == (full if full > 3 * f else 0), s.render()
+    # constant floors just under each row's optimum, where the LCS(a, c)
+    # screen of a bounded row skips most cut pairs
+    for _ in range(3):
+        s = parse_sequence(random_string(rng, 40, sigma=rng.randint(2, 4), min_n=32))
+        q3 = cube_table(s, threads=1)
+        for start in range(1, s.n + 1):
+            full_row = q3.rows[start - 1]
+            top = full_row[-1] // 3
+            for root in range(max(top - 2, 0), top + 1):
+                row = _cube_row(s.letters, [None] * s.n, start, [root] * len(full_row))
+                assert row == [v if v > 3 * root else 0 for v in full_row], (s.render(), root)
 
 
 def test_cube_row_rejects_decreasing_floor():

@@ -20,6 +20,7 @@ from subseqrep.tables import (
     IntervalTable,
     cube_table,
     cube_witness,
+    longer_cube_exists,
     square_table,
     square_witness,
 )
@@ -265,3 +266,18 @@ def test_pruned_cube_matches_unpruned_search():
                 i,
                 j,
             )
+
+
+def test_longer_cube_exists_matches_cube_table():
+    # the proof row against the full table's longest cube, at every root
+    # length around it
+    rng = random.Random(27)
+    texts = [random_string(rng, 40, sigma=rng.randint(2, 8), min_n=24) for _ in range(8)]
+    texts += ["abc" * 11, "aab" * 12, "a" * 30]
+    seqs = [parse_sequence(t) for t in texts]
+    seqs.append(sequence_from_tokens([f"x{p}" for p in range(30)]))  # all distinct
+    for seq in seqs:
+        top = cube_table(seq, threads=1).get(1, seq.n) // 3
+        for root in range(top + 2):
+            assert longer_cube_exists(seq, root) == (root < top), (seq.render(), root)
+    assert not longer_cube_exists(parse_sequence(""), 0)
