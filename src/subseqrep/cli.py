@@ -10,13 +10,6 @@ Exit codes: 0 ok, 2 input error, 3 budget or guard exceeded,
 4 internal invariant failure, 130 interrupted (Ctrl-C), 141 stdout
 closed by its reader (broken pipe).  Exit 2 covers only errors raised
 while reading and parsing input; any other ValueError is internal.
-
-``--threads N`` (analyze, tables, bench; N >= 1) caps the worker processes that
-build the cube table's rows from n = ``tables.POOL_MIN_N`` (40) on; the default is the CPUs
-available to the process, capped at n, and 1 runs everything in this
-process.  Reports are the same for every worker count.  analyze builds
-no full cube table, only the cells its LSRS DP can pick, serially, so
-there the option is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -61,11 +54,8 @@ from .oracles import (
 )
 from .plus3 import OccurrenceBoundError, lsrs_plus3
 from .tables import (
-    POOL_MIN_N,
-    available_cpus,
     cube_table,
     cube_witness,
-    cube_workers,
     longer_cube_exists,
     square_table,
     square_witness,
@@ -233,7 +223,7 @@ def cmd_tables(args) -> int:
     seq = read_sequence(args.input, args.tokens)
     if _over_guard(seq.n, args.max_n):
         return EXIT_BUDGET
-    table = (square_table if args.which == "q2" else cube_table)(seq, args.threads)
+    table = (square_table if args.which == "q2" else cube_table)(seq)
     if args.format == "csv":
         lines = []
         for i in range(1, seq.n + 1):
@@ -324,13 +314,13 @@ def _bench_input(alg: str, n: int, seed: int) -> Sequence:
     return sequence_from_tokens([rng.choice("abcd") for _ in range(n)])
 
 
-def _bench_once(alg: str, seq: Sequence, threads: int | None) -> None:
+def _bench_once(alg: str, seq: Sequence) -> None:
     if alg == "q2":
         square_table(seq)
     elif alg == "q3":
-        cube_table(seq, threads)
+        cube_table(seq)
     elif alg == "lsrs":
-        lsrs(seq, threads=threads)
+        lsrs(seq)
     else:
         lsrs_plus3(seq)
 
@@ -350,8 +340,11 @@ def cmd_bench(args) -> int:
     import statistics  # here, not at the top: analyze never needs it
 
     sizes = _parsed(_int_list, args.sizes, ",")
-    if len(sizes) < 2:
-        print("need at least two sizes", file=sys.stderr)
+    if len(set(sizes)) < 2:
+        print("need at least two distinct sizes", file=sys.stderr)
+        return EXIT_INPUT
+    if min(sizes) < 1:
+        print(f"sizes must be at least 1, got {min(sizes)}", file=sys.stderr)
         return EXIT_INPUT
     if _over_guard(max(sizes), args.max_n):
         return EXIT_BUDGET
@@ -363,7 +356,7 @@ def cmd_bench(args) -> int:
         times = []
         for _ in range(reps):
             t0 = time.perf_counter()
-            _bench_once(args.alg, seq, args.threads)
+            _bench_once(args.alg, seq)
             times.append(time.perf_counter() - t0)
         best = min(times)
         rows.append(
@@ -375,8 +368,6 @@ def cmd_bench(args) -> int:
             }
         )
         points.append((n, best))
-    # only q3 starts worker processes, and only from POOL_MIN_N on
-    workers = cube_workers(args.threads, max(sizes)) if args.alg == "q3" else 1
     _emit(
         args,
         {
@@ -384,8 +375,7 @@ def cmd_bench(args) -> int:
             "seed": args.seed,
             "git": _git_head(),
             "python": platform.python_version(),
-            "cpus": available_cpus(),
-            "workers": workers,
+            "cpus": _available_cpus(),
             "rows": rows,
             "slope": round(fitted_slope(points), 3),
         },
@@ -393,21 +383,39 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _git_head() -> str | None:
-    """HEAD sha of the git checkout that holds this package, or None outside one."""
+    """HEAD sha of the git checkout that holds this package, or None outside one.
+
+    The sha ends in ``-dirty`` when the package's files differ from HEAD.
+    """
     import subprocess  # here, not at the top: analyze never needs it
 
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+    def git(*argv):
+        return subprocess.run(
+            ["git", *argv],
             cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
             timeout=10,
         )
+
+    try:
+        head = git("rev-parse", "HEAD")
+        if head.returncode != 0:
+            return None
+        diff = git("diff", "--quiet", "HEAD", "--", ".")
     except (OSError, subprocess.SubprocessError):  # no git, or it hung
         return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    sha = head.stdout.strip()
+    return sha + "-dirty" if diff.returncode == 1 else sha
 
 
 def _emit(args, doc) -> None:
@@ -452,29 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="refuse longer inputs (the cube stage is O(n^6))",
         )
 
-    def add_threads(p):
-        p.add_argument(
-            "--threads",
-            type=_int_at_least(1),
-            default=None,
-            help=f"most worker processes for cube-table rows at n >= {POOL_MIN_N} "
-            "(default: CPUs available, capped at n; 1 = no processes)",
-        )
-
     def add_common(p, with_guard=True):
         p.add_argument("input", nargs="?", help="input file, or - for stdin")
         p.add_argument("--tokens", action="store_true", help="whitespace-token input")
-        add_threads(p)
         p.add_argument("-o", "--output", help="write the report to a file")
         if with_guard:
             add_guard(p)
 
-    p = sub.add_parser(
-        "analyze",
-        help="run every solver on one sequence",
-        epilog="--threads is accepted and has no effect here: analyze builds "
-        "no full cube table, only the cube cells its LSRS DP can pick.",
-    )
+    p = sub.add_parser("analyze", help="run every solver on one sequence")
     add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -503,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated lengths")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=_int_at_least(0), default=0, help="0 = pick automatically")
-    add_threads(p)
     p.add_argument("-o", "--output")
     add_guard(p)
     p.set_defaults(func=cmd_bench)

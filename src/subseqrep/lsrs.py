@@ -59,8 +59,8 @@ def lsrs(
     Ties in the argmax go to the smallest j, square before cube, so the
     witness is deterministic.  Blocks whose table entry is 0 are never
     materialized; such a j only forwards L(j).  Without ``q3`` only the
-    cube cells the DP can pick are built, serially; ``threads`` then has
-    no effect.  A ``q3`` passed in is read as it is.
+    cube cells the DP can pick are built; a ``q3`` passed in is read as
+    it is.  ``threads`` is accepted for compatibility and has no effect.
     """
     n = seq.n
     if q2 is None:

@@ -37,32 +37,11 @@ out: it made the full table about 2.2x faster at n = 48, which pulls the
 fitted cube slope of acceptance criterion 6 (n = 8/16/32) to 4.39-4.48,
 under its 4.5 floor (ROADMAP item 5).
 
-Cube rows (one per suffix start) are independent, so from
-``POOL_MIN_N`` on they run in a ``multiprocessing`` pool of up to
-``threads`` worker processes (default: the CPUs available to this
-process, capped at n).  Processes, not threads: the rows are pure Python
-and hold the interpreter lock.  Starts go out in ascending order, one
-per task, because a row's cost falls with its start; each task builds
-the prefix vectors its row needs.  Workers fork where the platform
-allows it and this process runs a single thread, and spawn otherwise.
-Best of 3 on the ``subseqrep bench`` inputs (Python 3.11, 2 CPUs), a
-2-worker pool against serial rows: 30 vs 13 ms at n = 24, 69-85 vs
-84-87 ms at n = 32, 207-219 vs 288 ms at n = 40 and 656-698 vs
-1125-1135 ms at n = 48, hence the cutoff at 40.  Every row is computed
-by the same code whichever process runs it, so the table does not depend
-on the worker count; ``threads=1`` never starts a process.  The square
-table stays serial: the same pool took its rows from 30-32 to 38-41 ms
-at n = 64 and from 186-245 to 178-185 ms at n = 128.
-
 Witnesses are rebuilt on demand per interval -- storing tracebacks for
 all O(n^2) intervals would dwarf the tables themselves.
 """
 
 from __future__ import annotations
-
-import os
-import signal
-from functools import partial
 
 from .core import Block, Sequence, SrsDecomposition
 from .lcs import (
@@ -75,8 +54,6 @@ from .lcs import (
 
 INT_KINDS = ("square", "cube", "covered-square", "covered-cube", "feasible-length")
 SET_KINDS = ("cover", "cover-twice", "cover-thrice")
-
-POOL_MIN_N = 40  # cube tables at least this long run their rows in worker processes
 
 
 class IntervalTable:
@@ -117,46 +94,6 @@ class IntervalTable:
             and self.kind == other.kind
             and self.rows == other.rows
         )
-
-
-def available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def worker_count(threads: int | None, n: int) -> int:
-    """Worker processes allowed for ``n`` rows: ``threads``, or the CPUs
-    available when it is None, and never more than ``n``."""
-    return min(available_cpus() if threads is None else threads, n)
-
-
-def cube_workers(threads: int | None, n: int) -> int:
-    """Worker processes ``cube_table`` runs for a sequence of length ``n``:
-    1 (this process alone) below ``POOL_MIN_N``."""
-    return worker_count(threads, n) if n >= POOL_MIN_N else 1
-
-
-def _pool_rows(row_fn, n: int, workers: int) -> list:
-    """``[row_fn(s) for s in 1..n]`` computed in ``workers`` processes."""
-    import multiprocessing
-    import threading
-
-    # fork starts a worker in milliseconds but is unsafe in a process
-    # that runs other threads, which could hold a lock across the fork
-    forkable = "fork" in multiprocessing.get_all_start_methods()
-    method = "fork" if forkable and threading.active_count() == 1 else "spawn"
-    context = multiprocessing.get_context(method)
-    with context.Pool(workers, initializer=_ignore_sigint) as pool:
-        return pool.map(row_fn, range(1, n + 1), chunksize=1)
-
-
-def _ignore_sigint() -> None:
-    # Ctrl-C reaches the whole process group; the parent alone handles it
-    # and terminates the pool
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _square_row(letters: tuple[int, ...], s: int) -> list[int]:
@@ -286,18 +223,14 @@ def square_table(seq: Sequence, threads: int | None = None) -> IntervalTable:
 def cube_table(seq: Sequence, threads: int | None = None) -> IntervalTable:
     """Longest cubic subsequence length for every interval; O(n^6).
 
-    From ``POOL_MIN_N`` on, rows run in up to ``threads`` worker processes
-    (``None``: the CPUs available, capped at n; 1: serial, no process
-    started).  The table is the same for every worker count.
+    Always serial, the rows sharing one set of prefix vectors; ``threads``
+    is accepted for compatibility and has no effect.
     """
     n = seq.n
-    row_fn = partial(_cube_row, seq.letters, [None] * n)
-    workers = cube_workers(threads, n)
+    letters = seq.letters
+    pre = [None] * n
     table = IntervalTable(n, "cube")
-    if workers > 1:
-        table.rows = _pool_rows(row_fn, n, workers)
-    else:
-        table.rows = [row_fn(s) for s in range(1, n + 1)]
+    table.rows = [_cube_row(letters, pre, s) for s in range(1, n + 1)]
     _check_repeat_table(table, 3)
     return table
 
@@ -347,10 +280,12 @@ def square_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
     letters = seq.letters
     best_val = 0
     best_m = -1
+    # rows[m - i][-1] = LCS(S[i..m], S[m+1..j]), every cut in one pass
+    rows = lcs2_cut_prefixes(letters[:j], i - 1)
     for m in range(i, j):
-        f = lcs2_all_prefixes(letters[i - 1 : m], letters[m:j])
-        if f[j - m] > best_val:
-            best_val = f[j - m]
+        v = rows[m - i][-1]
+        if v > best_val:
+            best_val = v
             best_m = m
     if best_val == 0:
         return None

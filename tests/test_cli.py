@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import subseqrep
-from subseqrep import cli, tables
+from subseqrep import cli
 from subseqrep.cli import _bench_input, fitted_slope, main
 from subseqrep.core import Block, SrsDecomposition, parse_sequence, validate_srs
 
@@ -100,26 +101,11 @@ def test_missing_file_is_input_error(tmp_path, capsys):
 def test_analyze_deterministic_apart_from_timing(tmp_path, capsys):
     path = write(tmp_path, "seq.txt", "ACGAGCGCAGCGA\n")
     _, out1, _ = run_cli(capsys, "analyze", path)
-    _, out2, _ = run_cli(capsys, "analyze", path, "--threads", "4")
+    _, out2, _ = run_cli(capsys, "analyze", path)
     doc1, doc2 = json.loads(out1), json.loads(out2)
     doc1.pop("timing_ms")
     doc2.pop("timing_ms")
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
-
-
-def test_analyze_report_independent_of_workers(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(tables, "POOL_MIN_N", 1)  # force the pool at these sizes
-    for text in ("ACGAGCGCAGCGA", "ababbcacc"):
-        path = write(tmp_path, "seq.txt", text + "\n")
-        reports = []
-        for threads in ([], ["--threads", "1"], ["--threads", "3"]):
-            code, out, _ = run_cli(capsys, "analyze", path, *threads)
-            assert code == 0
-            doc = json.loads(out)
-            assert set(doc["timing_ms"]) >= {"square", "cube", "witnesses", "lsrs"}
-            doc.pop("timing_ms")
-            reports.append(json.dumps(doc, indent=2))
-        assert reports[0] == reports[1] == reports[2]
 
 
 def test_tables_json(tmp_path, capsys):
@@ -302,10 +288,8 @@ def test_bench_command(tmp_path, capsys):
     doc = json.loads(out)
     assert [row["n"] for row in doc["rows"]] == [4, 8]
     assert "slope" in doc
-    code, out, _ = run_cli(
-        capsys, "bench", "--alg", "q2", "--sizes", "4,8", "--reps", "0", "--threads", "1"
-    )
-    assert code == 0 and json.loads(out)["workers"] == 1
+    code, out, _ = run_cli(capsys, "bench", "--alg", "q2", "--sizes", "4,8", "--reps", "0")
+    assert code == 0
     code, _, err = run_cli(capsys, "bench", "--alg", "q2", "--sizes", "4")
     assert code == 2
     code, out, _ = run_cli(capsys, "bench", "--alg", "lsrs", "--sizes", "4,8", "--reps", "3")
@@ -315,25 +299,8 @@ def test_bench_command(tmp_path, capsys):
         assert len(row["times"]) == 3
         assert row["seconds"] == min(row["times"])
         assert row["median"] == sorted(row["times"])[1]
-    assert doc["git"] is None or len(doc["git"]) == 40
-
-
-@pytest.mark.parametrize(
-    "argv, workers",
-    [
-        (("--alg", "lsrs", "--sizes", "8,16"), 1),
-        (("--alg", "q3", "--sizes", "8,16"), 1),
-        (("--alg", "q2", "--sizes", "40,48"), 1),
-        (("--alg", "plus3", "--sizes", "40,48"), 1),
-        (("--alg", "q3", "--sizes", "8,48"), min(tables.available_cpus(), 48)),
-        (("--alg", "q3", "--sizes", "8,48", "--threads", "1"), 1),
-    ],
-)
-def test_bench_reports_the_workers_it_used(capsys, monkeypatch, argv, workers):
-    # only the cube table starts processes, and only from POOL_MIN_N on
-    monkeypatch.setattr(cli, "_bench_once", lambda alg, seq, threads: None)
-    code, out, _ = run_cli(capsys, "bench", *argv)
-    assert code == 0 and json.loads(out)["workers"] == workers
+    # a working tree with uncommitted changes marks the sha "-dirty"
+    assert doc["git"] is None or re.fullmatch(r"[0-9a-f]{40}(-dirty)?", doc["git"])
 
 
 def test_bench_git_is_null_outside_a_checkout(tmp_path):
@@ -348,26 +315,85 @@ def test_bench_git_is_null_outside_a_checkout(tmp_path):
     assert json.loads(proc.stdout)["git"] is None
 
 
+def test_bench_git_marks_uncommitted_changes(tmp_path):
+    package = tmp_path / "subseqrep"
+    # bytecode left out: a rewritten .pyc must not count as a change
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(Path(subseqrep.__file__).parent, package, ignore=ignore)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    git += ["-c", "commit.gpgsign=false"]
+    for argv in (["init", "-q"], ["add", "subseqrep"], ["commit", "-q", "-m", "copy"]):
+        subprocess.run(git + argv, cwd=tmp_path, check=True, capture_output=True, timeout=60)
+    env = dict(_cli_env(), PYTHONPATH=str(tmp_path))
+
+    def bench_git():
+        proc = subprocess.run(
+            CLI + ["bench", "--alg", "q2", "--sizes", "2,3", "--reps", "1"],
+            capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)["git"]
+
+    clean = bench_git()
+    assert re.fullmatch(r"[0-9a-f]{40}", clean)
+    with open(package / "core.py", "a", encoding="utf-8") as handle:
+        handle.write("\n# edited\n")
+    assert bench_git() == clean + "-dirty"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("bench", "--alg", "q3", "--sizes", "8,16", "--reps", "-2"),
-        ("bench", "--alg", "q2", "--sizes", "4,8", "--threads", "-3"),
-        ("bench", "--alg", "q2", "--sizes", "4,8", "--threads", "0"),
-        ("analyze", "-", "--threads", "0"),
-        ("tables", "-", "--which", "q2", "--threads", "0"),
     ],
 )
 def test_out_of_range_counts_rejected_while_parsing(capsys, monkeypatch, argv):
-    def never(*args, **kwargs):
-        raise AssertionError("a command ran with an out-of-range count")
-
     for name in ("_bench_once", "read_sequence"):
-        monkeypatch.setattr(f"subseqrep.cli.{name}", never)
+        monkeypatch.setattr(f"subseqrep.cli.{name}", _never_run)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "-", "--threads", "2"),
+        ("tables", "-", "--which", "q3", "--threads", "2"),
+        ("bench", "--alg", "q3", "--sizes", "8,16", "--threads", "2"),
+        ("oracle", "-", "--kind", "q3", "--threads", "2"),
+    ],
+)
+def test_threads_is_an_unknown_option(capsys, monkeypatch, argv):
+    # every table is built in the calling process, so there is no worker count
+    for name in ("_bench_once", "read_sequence"):
+        monkeypatch.setattr(f"subseqrep.cli.{name}", _never_run)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ("", "two distinct sizes"),
+        ("4", "two distinct sizes"),
+        ("4,4", "two distinct sizes"),
+        ("0,4", "at least 1, got 0"),
+        ("-3,4", "at least 1, got -3"),
+    ],
+)
+def test_bad_bench_sizes_exit_2_before_any_run(capsys, monkeypatch, sizes, message):
+    monkeypatch.setattr("subseqrep.cli._bench_once", _never_run)
+    code, out, err = run_cli(capsys, "bench", "--alg", "q2", f"--sizes={sizes}", "--reps", "1")
+    assert code == 2
+    assert out == "" and message in err and "Traceback" not in err
+
+
+def _never_run(*args, **kwargs):
+    raise AssertionError("a command ran despite a rejected argument")
 
 
 def test_fitted_slope():
@@ -475,14 +501,15 @@ def test_closed_stdout_exits_141_without_traceback():
 
 
 def test_ctrl_c_during_pool_exits_130_with_one_line(tmp_path):
-    # Ctrl-C signals the whole process group, pool workers included
+    # Ctrl-C signals the whole process group; the cube table is built in
+    # the CLI process, which must exit 130 and leave no process behind
     path = write(tmp_path, "seq.txt", _bench_input("q3", 64, 0).render("") + "\n")
     proc = subprocess.Popen(
         CLI + ["tables", "--which", "q3", path], stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE, text=True, env=_cli_env(), start_new_session=True,
     )
     try:
-        time.sleep(0.6)  # the n = 64 cube table takes seconds; by now its pool runs
+        time.sleep(0.6)  # the n = 64 cube table takes seconds; by now it is running
         os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=60)
     finally:
@@ -490,5 +517,5 @@ def test_ctrl_c_during_pool_exits_130_with_one_line(tmp_path):
             os.killpg(proc.pid, signal.SIGKILL)
     assert proc.returncode == 130
     assert err == "interrupted\n"
-    with pytest.raises(ProcessLookupError):  # no worker outlived the run
+    with pytest.raises(ProcessLookupError):  # nothing in the group outlived the run
         os.killpg(proc.pid, 0)

@@ -1,8 +1,9 @@
-"""Properties that need no oracle, at n = 48-64, past the oracles' reach.
+"""Properties that need no oracle, at n = 24-64, past the oracles' reach.
 
-They cover the path `analyze` takes there: the cube witness of the whole
-sequence, the bounded cube row that proves no longer cube exists, and
-the LSRS DP with its targeted cube cells.
+At n = 48-64 they cover the path `analyze` takes there: the cube witness
+of the whole sequence, the bounded cube row that proves no longer cube
+exists, and the LSRS DP with its targeted cube cells.  At n = 24-40 they
+cover the full square and cube tables.
 """
 
 import io
@@ -14,7 +15,7 @@ import pytest
 from subseqrep import cli
 from subseqrep.core import Sequence, parse_sequence
 from subseqrep.lsrs import lsrs
-from subseqrep.tables import cube_witness, longer_cube_exists, square_table
+from subseqrep.tables import cube_table, cube_witness, longer_cube_exists, square_table
 
 from helpers import random_bound3_string, random_string
 
@@ -74,3 +75,30 @@ def test_lsrs_is_superadditive_over_concatenation():
         y = random_string(rng, 64 - len(x), sigma=sigma, min_n=48 - len(x))
         whole = lsrs(parse_sequence(x + y)).length
         assert whole >= lsrs(parse_sequence(x)).length + lsrs(parse_sequence(y)).length, (x, y)
+
+
+def _table_cases():
+    rng = random.Random(73)
+    sizes = ((24, 2), (32, 4), (40, 6))
+    return [random_string(rng, n, sigma=sigma, min_n=n) for n, sigma in sizes]
+
+
+@pytest.mark.parametrize("text", _table_cases(), ids=lambda t: f"n{len(t)}")
+def test_full_tables_mirror_under_reversal(text):
+    # a square or cube in S[i..j] read backwards is one in the reversed
+    # string, at [n+1-j, n+1-i]
+    seq, rev = parse_sequence(text), parse_sequence(text[::-1])
+    n = seq.n
+    for build in (square_table, cube_table):
+        table, mirrored = build(seq), build(rev)
+        for i, j, v in table.cells():
+            assert mirrored.get(n + 1 - j, n + 1 - i) == v, (build.__name__, i, j)
+
+
+@pytest.mark.parametrize("text", _table_cases(), ids=lambda t: f"n{len(t)}")
+def test_square_table_at_least_two_thirds_of_cube_table(text):
+    # X X X holds the square (X X) of the same interval, so 3 Q2 >= 2 Q3
+    seq = parse_sequence(text)
+    q2, q3 = square_table(seq), cube_table(seq)
+    for i, j, cube in q3.cells():
+        assert 3 * q2.get(i, j) >= 2 * cube, (i, j)

@@ -1,6 +1,4 @@
-import multiprocessing
 import random
-import threading
 
 import pytest
 
@@ -11,10 +9,7 @@ from subseqrep.core import (
     sequence_from_tokens,
     validate_srs,
 )
-from subseqrep import tables
-from subseqrep.cli import _bench_input
 from subseqrep.lcs import lcs3_all_prefixes, lcs3_witness
-from subseqrep.lsrs import lsrs
 from subseqrep.oracles import oracle_cube_table, oracle_square_table
 from subseqrep.tables import (
     IntervalTable,
@@ -139,6 +134,11 @@ def test_worked_example_witnesses():
     assert wit.blocks[0].exponent == 3
     assert len(wit.blocks[0].root) == 3
     assert square_witness(s, 1, 1) is None
+    # cuts after positions 2 and 3 of "ababa" both give a square of length
+    # 4; the smaller cut wins
+    for text, i in (("ababa", 1), ("xababa", 2)):
+        wit = square_witness(parse_sequence(text), i, i + 4)
+        assert wit.blocks[0].copies == ((i, i + 1), (i + 2, i + 3))
 
 
 def test_witness_bounds_check():
@@ -155,61 +155,6 @@ def test_thread_determinism():
         s = parse_sequence(random_string(rng, 12))
         assert square_table(s, threads=1) == square_table(s, threads=4)
         assert cube_table(s, threads=1) == cube_table(s, threads=4)
-
-
-def test_pool_matches_serial_below_cutoff(monkeypatch):
-    # the criterion-5 strings, plus unary and all-distinct input, with the
-    # pool forced on at every length
-    monkeypatch.setattr(tables, "POOL_MIN_N", 1)
-    rng = random.Random(55)
-    seqs = [parse_sequence(random_string(rng, 12, sigma=4, min_n=1)) for _ in range(50)]
-    seqs += [parse_sequence("a" * 12), sequence_from_tokens([f"x{p}" for p in range(12)])]
-    for s in seqs:
-        assert cube_table(s, threads=2) == cube_table(s, threads=1), s.render("")
-
-
-def test_pool_matches_serial_at_n40():
-    s = _bench_input("q3", 40, 0)
-    assert s.n >= tables.POOL_MIN_N
-    assert cube_table(s, threads=2) == cube_table(s, threads=1)
-
-
-def test_pool_spawns_beside_other_threads(monkeypatch):
-    # fork is unsafe while another thread runs, so the workers are spawned
-    monkeypatch.setattr(tables, "POOL_MIN_N", 1)
-    methods = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(
-        multiprocessing, "get_context", lambda method: methods.append(method) or get_context(method)
-    )
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait)
-    other.start()
-    try:
-        s = parse_sequence("ACGAGCGCAGCGA")
-        assert cube_table(s, threads=2) == cube_table(s, threads=1)
-    finally:
-        stop.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert methods == ["spawn"]
-
-
-class _NoPool(Exception):
-    pass
-
-
-def test_one_thread_starts_no_process(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise _NoPool
-
-    monkeypatch.setattr(tables, "POOL_MIN_N", 1)
-    monkeypatch.setattr("multiprocessing.pool.Pool", refuse)
-    s = parse_sequence("ACGAGCGCAGCGA")
-    with pytest.raises(_NoPool):
-        cube_table(s, threads=2)  # the patch does reach the pool
-    assert cube_table(s, threads=1).get(1, 13) == 9
-    assert lsrs(s, threads=1).length == 10
 
 
 def unpruned_cube_rows(letters) -> list[list[int]]:
