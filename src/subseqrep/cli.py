@@ -152,14 +152,26 @@ def cmd_analyze(args) -> int:
     seq = read_sequence(args.input, args.tokens)
     if _over_guard(seq.n, args.max_n):
         return EXIT_BUDGET
+    _emit(args, analyze_report(seq))
+    return EXIT_OK
+
+
+def analyze_report(seq: Sequence) -> dict:
+    """The ``analyze`` report of one sequence, ``timing_ms`` included.
+
+    Every stage reads one list of cut vectors, which the square table
+    fills.  Raises ``_InternalError`` when a witness fails validation or
+    disagrees with its bound.
+    """
     n = seq.n
+    pre = [None] * n
     t0 = time.perf_counter()
-    q2 = square_table(seq)
+    q2 = square_table(seq, pre=pre)
     square_ms = _ms_since(t0)
     sq_len = q2.get(1, n) if n else 0
     t0 = time.perf_counter()
     sq_wit = square_witness(seq, 1, n) if sq_len else None
-    cu_wit = cube_witness(seq, 1, n) if n else None
+    cu_wit = cube_witness(seq, 1, n, pre=pre) if n else None
     witnesses_ms = _ms_since(t0)
     # the witness bounds the longest cube from below, one bounded cube
     # row from above
@@ -167,7 +179,7 @@ def cmd_analyze(args) -> int:
         raise _InternalError("cube witness is not a single exponent-3 block")
     cu_len = cu_wit.total_length if cu_wit else 0
     t0 = time.perf_counter()
-    if longer_cube_exists(seq, cu_len // 3):
+    if longer_cube_exists(seq, cu_len // 3, pre=pre):
         raise _InternalError(f"a cube longer than the witness's {cu_len} exists")
     timing = {"square": square_ms, "cube": _ms_since(t0), "witnesses": witnesses_ms}
     max_occurrence = max(Counter(seq.letters).values(), default=0)
@@ -187,7 +199,7 @@ def cmd_analyze(args) -> int:
         },
     }
     t0 = time.perf_counter()
-    result = lsrs(seq, q2=q2)
+    result = lsrs(seq, q2=q2, pre=pre)
     timing["lsrs"] = _ms_since(t0)
     report["lsrs"] = {
         "length": result.length,
@@ -211,8 +223,7 @@ def cmd_analyze(args) -> int:
             ),
         }
     report["timing_ms"] = timing
-    _emit(args, report)
-    return EXIT_OK
+    return report
 
 
 def _ms_since(t0: float) -> float:
@@ -321,6 +332,8 @@ def _bench_once(alg: str, seq: Sequence) -> None:
         cube_table(seq)
     elif alg == "lsrs":
         lsrs(seq)
+    elif alg == "analyze":
+        analyze_report(seq)
     else:
         lsrs_plus3(seq)
 
@@ -492,7 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("bench", help="timing and fitted log-log slope")
-    p.add_argument("--alg", choices=("q2", "q3", "lsrs", "plus3"), required=True)
+    p.add_argument(
+        "--alg", choices=("q2", "q3", "lsrs", "plus3", "analyze"), required=True
+    )
     p.add_argument("--sizes", required=True, help="comma-separated lengths")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=_int_at_least(0), default=0, help="0 = pick automatically")

@@ -53,6 +53,8 @@ def lsrs(
     threads: int | None = None,
     q2: IntervalTable | None = None,
     q3: IntervalTable | None = None,
+    *,
+    pre: list | None = None,
 ) -> LsrsResult:
     """Optimal repeat-subsequence length for ``seq`` plus one witness.
 
@@ -60,11 +62,16 @@ def lsrs(
     witness is deterministic.  Blocks whose table entry is 0 are never
     materialized; such a j only forwards L(j).  Without ``q3`` only the
     cube cells the DP can pick are built; a ``q3`` passed in is read as
-    it is.  ``threads`` is accepted for compatibility and has no effect.
+    it is.  ``pre`` is the sequence's cut-vector list, as ``square_table``
+    fills it; the cube rows and witnesses read it, and without it they
+    share one of their own.  ``threads`` is accepted for compatibility
+    and has no effect.
     """
     n = seq.n
+    if pre is None:
+        pre = [None] * n
     if q2 is None:
-        q2 = square_table(seq)
+        q2 = square_table(seq, pre=pre)
     rows2 = q2.rows
     if q3 is not None:
         rows3 = q3.rows
@@ -72,7 +79,6 @@ def lsrs(
             _check_two_thirds(rows2[s - 1], rows3[s - 1], s)
     else:
         rows3 = []
-        pre = [None] * n  # prefix vectors shared by the cube rows
         bound = _square_prefix_values(rows2)
 
     values = [0] * (n + 1)
@@ -116,7 +122,7 @@ def lsrs(
             wit = square_witness(seq, j + 1, i)
             blocks.append(wit.blocks[0])
         elif kind == "cube":
-            wit = cube_witness(seq, j + 1, i)
+            wit = cube_witness(seq, j + 1, i, pre=pre)
             blocks.append(wit.blocks[0])
         i = j
     blocks.reverse()

@@ -38,7 +38,26 @@ fitted cube slope of acceptance criterion 6 (n = 8/16/32) to 4.39-4.48,
 under its 4.5 floor (ROADMAP item 5).
 
 Witnesses are rebuilt on demand per interval -- storing tracebacks for
-all O(n^2) intervals would dwarf the tables themselves.
+all O(n^2) intervals would dwarf the tables themselves.  ``cube_witness``
+searches its cut pairs best-first, in the order of (-bound, c1, c2)
+with bound = min(LCS(a, b), LCS(a, c)), one bound value at a time.  It
+stops at the first pair whose bound is below the best root found so
+far.  A pair whose bound, or whose LCS(b, c), only equals the best is
+skipped unless (c1, c2) is smaller than the best pair, and a pair that
+ties the best replaces it only when smaller.  It returns the pair an
+index-order scan returns, the smallest P = (c1, c2) reaching the
+maximum root M.  P's bound is at least M and the best never exceeds M,
+so the loop reaches P.  There the best is either below M, and P beats
+it, or equal to M at a larger pair, and P passes the tie rules and
+replaces it.  After that no pair can beat M or tie it from a smaller
+pair.
+
+The prefix vectors pre[s] are ``lcs2_cut_prefixes(letters, s)``, the
+same 2-way rows the square table computes.  ``square_table`` stores them
+in a ``pre`` list when given one, and ``cube_witness``,
+``longer_cube_exists`` and ``lsrs`` read such a list, so ``analyze``
+builds them once per sequence.  Without the list the square table keeps
+none of them, which keeps its memory O(n^2).
 """
 
 from __future__ import annotations
@@ -96,11 +115,21 @@ class IntervalTable:
         )
 
 
-def _square_row(letters: tuple[int, ...], s: int) -> list[int]:
+def _square_row(letters: tuple[int, ...], s: int, pre: list | None = None) -> list[int]:
+    """Row s of the square table: Q2[s, j] at index j - s.
+
+    With ``pre`` the cut vectors of start s come from, and stay in,
+    ``pre[s - 1]`` (see ``_cut_vectors``); without it each cut runs its
+    own 2-way pass and nothing is kept.
+    """
     n = len(letters)
     best = [0] * (n - s + 1)
+    vectors = None if pre is None else _cut_vectors(pre, letters, s - 1)
     for m in range(s, n):
-        f = lcs2_all_prefixes(letters[s - 1 : m], letters[m:])
+        if vectors is None:
+            f = lcs2_all_prefixes(letters[s - 1 : m], letters[m:])
+        else:
+            f = vectors[m - s]
         base = m - s
         for k in range(1, n - m + 1):
             v = f[k]
@@ -207,15 +236,20 @@ def _cut_vectors(pre: list, letters: tuple[int, ...], start: int) -> list[list[i
     return vectors
 
 
-def square_table(seq: Sequence, threads: int | None = None) -> IntervalTable:
+def square_table(
+    seq: Sequence, threads: int | None = None, *, pre: list | None = None
+) -> IntervalTable:
     """Longest square subsequence length for every interval; O(n^4).
 
-    Always serial; ``threads`` is accepted for compatibility and has no
-    effect.
+    ``pre``, a list of ``seq.n`` entries, receives the cut vectors the
+    rows compute: afterwards ``pre[s] == lcs2_cut_prefixes(seq.letters,
+    s)`` for every s, ready for the cube rows and witnesses of the same
+    sequence.  Without it they are dropped row by row.  Always serial;
+    ``threads`` is accepted for compatibility and has no effect.
     """
     letters = seq.letters
     table = IntervalTable(seq.n, "square")
-    table.rows = [_square_row(letters, s) for s in range(1, seq.n + 1)]
+    table.rows = [_square_row(letters, s, pre) for s in range(1, seq.n + 1)]
     _check_repeat_table(table, 2)
     return table
 
@@ -235,16 +269,20 @@ def cube_table(seq: Sequence, threads: int | None = None) -> IntervalTable:
     return table
 
 
-def longer_cube_exists(seq: Sequence, root: int) -> bool:
+def longer_cube_exists(seq: Sequence, root: int, *, pre: list | None = None) -> bool:
     """Does ``seq`` hold a cubic subsequence with a root longer than ``root``?
 
     One cube row with ``root`` as every cell's floor, so only the cut
     pairs that could beat it run the 3-way DP: each must have LCS(a, b),
     LCS(b, c), LCS(a, c) and the letter-count bound all above ``root``
-    (the bounded row's screens, see the module docstring).
+    (the bounded row's screens, see the module docstring).  ``pre`` is
+    the sequence's cut-vector list, as ``square_table`` fills it; without
+    it the row builds its own.
     """
     n = seq.n
-    return n > 0 and _cube_row(seq.letters, [None] * n, 1, [root] * n)[-1] > 0
+    if pre is None:
+        pre = [None] * n
+    return n > 0 and _cube_row(seq.letters, pre, 1, [root] * n)[-1] > 0
 
 
 def _check_repeat_table(table: IntervalTable, divisor: int) -> None:
@@ -295,33 +333,51 @@ def square_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
     return SrsDecomposition((Block(tuple(word), 2, (copy1, copy2)),))
 
 
-def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
+def cube_witness(
+    seq: Sequence, i: int, j: int, *, pre: list | None = None
+) -> SrsDecomposition | None:
     """Single exponent-3 block of length Q3[i, j], or None when that is 0.
 
-    Ties broken by the smallest (c1, c2) cut pair.  A pair whose pairwise
-    LCS bound is no better than the best so far cannot win under that
-    rule, so its 3-way DP is skipped.
+    Ties broken by the smallest (c1, c2) cut pair.  The pairs run
+    best-first on the bound min(LCS(a, b), LCS(a, c)); see the module
+    docstring for why that returns the index-order scan's pair.  ``pre``
+    is the sequence's cut-vector list, as ``square_table`` fills it: with
+    it LCS(a, b) and LCS(b, c) are read, not computed.
     """
     _bounds_check(seq, i, j)
     letters = seq.letters
-    best_val = 0
-    best_cuts = None
+    # ab_rows[c1 - i][c2 - c1] = LCS(a, S[c1+1..c2]), every c1 in one pass
+    if pre is None:
+        ab_rows = lcs2_cut_prefixes(letters[:j], i - 1)
+    else:
+        ab_rows = _cut_vectors(pre, letters, i - 1)
+    # bounds[c1 - i][c2 - c1 - 1] = min(LCS(a, b), LCS(a, c)), with
+    # ac[j - c2] = LCS(a, S[c2+1..j])
+    bounds = []
     for c1 in range(i, j - 1):
-        a = letters[i - 1 : c1]
-        rest = letters[c1:j]
-        # ab[c2 - c1] = LCS(a, S[c1+1..c2]); ac[j - c2] = LCS(a, S[c2+1..j])
-        ab = lcs2_all_prefixes(a, rest)
-        ac = lcs2_all_prefixes(a[::-1], rest[::-1])
-        for c2 in range(c1 + 1, j):
-            if ab[c2 - c1] <= best_val or ac[j - c2] <= best_val:
+        ab = ab_rows[c1 - i]
+        ac = lcs2_all_prefixes(letters[i - 1 : c1][::-1], letters[c1:j][::-1])
+        bounds.append(list(map(min, ab[1 : j - c1], ac[j - c1 - 1 : 0 : -1])))
+    best_val = 0
+    best_cuts = (0, 0)  # below every pair, so nothing ties its way past 0
+    for bound in range(max(map(max, bounds), default=0), 0, -1):
+        if bound < best_val:
+            break
+        for c1, c2 in _pairs_with_bound(bounds, i, bound):
+            # a pair that can only tie the best wins only if it is smaller
+            if bound == best_val and (c1, c2) > best_cuts:
                 continue
             b = letters[c1:c2]
             c = letters[c2:j]
-            if lcs2_all_prefixes(b, c)[-1] <= best_val:
+            if pre is None:
+                bc = lcs2_all_prefixes(b, c)[-1]
+            else:
+                bc = _cut_vectors(pre, letters, c1)[c2 - c1 - 1][j - c2]
+            if bc < best_val or (bc == best_val and (c1, c2) > best_cuts):
                 continue
-            f = lcs3_all_prefixes(a, b, c)
-            if f[-1] > best_val:
-                best_val = f[-1]
+            f = lcs3_all_prefixes(letters[i - 1 : c1], b, c)[-1]
+            if f > best_val or (f == best_val and (c1, c2) < best_cuts):
+                best_val = f
                 best_cuts = (c1, c2)
     if best_val == 0:
         return None
@@ -335,3 +391,12 @@ def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
         tuple(c2 + p for p in pc),
     )
     return SrsDecomposition((Block(tuple(word), 3, copies),))
+
+
+def _pairs_with_bound(bounds: list[list[int]], i: int, bound: int):
+    """The cut pairs (c1, c2), in order, whose ``cube_witness`` bound is ``bound``."""
+    for c1, row in enumerate(bounds, i):
+        if bound in row:
+            for c2, r in enumerate(row, c1 + 1):
+                if r == bound:
+                    yield c1, c2

@@ -244,8 +244,8 @@ def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_analyze_catches_a_cube_witness_one_root_short(tmp_path, capsys, monkeypatch):
     real = cli.cube_witness
 
-    def one_short(seq, i, j):
-        (block,) = real(seq, i, j).blocks
+    def one_short(seq, i, j, *, pre=None):
+        (block,) = real(seq, i, j, pre=pre).blocks
         copies = tuple(copy[1:] for copy in block.copies)
         return SrsDecomposition((Block(block.root[1:], 3, copies),))
 
@@ -301,6 +301,30 @@ def test_bench_command(tmp_path, capsys):
         assert row["median"] == sorted(row["times"])[1]
     # a working tree with uncommitted changes marks the sha "-dirty"
     assert doc["git"] is None or re.fullmatch(r"[0-9a-f]{40}(-dirty)?", doc["git"])
+
+
+def test_bench_analyze_times_the_analyze_pipeline(tmp_path, capsys, monkeypatch):
+    # bench --alg analyze and the analyze command call the same function
+    calls = []
+    real = cli.analyze_report
+
+    def counted(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(cli, "analyze_report", counted)
+    code, out, _ = run_cli(capsys, "bench", "--alg", "analyze", "--sizes", "4,8", "--reps", "2")
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)["rows"]] == [4, 8]
+    assert calls == [_bench_input("analyze", n, 0) for n in (4, 4, 8, 8)]
+    seq = calls[-1]
+    code, out, _ = run_cli(capsys, "analyze", write(tmp_path, "seq.txt", seq.render() + "\n"))
+    assert code == 0 and calls[4:] == [seq]
+    report = json.loads(out)
+    expected = real(seq)
+    assert report.keys() == expected.keys()
+    del report["timing_ms"], expected["timing_ms"]
+    assert report == expected
 
 
 def test_bench_git_is_null_outside_a_checkout(tmp_path):

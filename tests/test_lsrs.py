@@ -98,7 +98,13 @@ def _targeted_cases():
 def test_targeted_cube_cells_match_full_table(s):
     # without q3, lsrs builds only the cube cells its DP can pick
     q2 = square_table(s)
-    assert lsrs(s) == lsrs(s, q2=q2, q3=cube_table(s))
+    full = lsrs(s, q2=q2, q3=cube_table(s))
+    assert lsrs(s) == full
+    # and with the cut vectors that square_table leaves behind, as analyze
+    # passes them
+    pre = [None] * s.n
+    assert square_table(s, pre=pre) == q2
+    assert lsrs(s, q2=q2, pre=pre) == full
 
 
 def test_cube_row_floor_keeps_exact_cells_above_it():

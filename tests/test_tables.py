@@ -9,7 +9,7 @@ from subseqrep.core import (
     sequence_from_tokens,
     validate_srs,
 )
-from subseqrep.lcs import lcs3_all_prefixes, lcs3_witness
+from subseqrep.lcs import lcs2_cut_prefixes, lcs3_all_prefixes, lcs3_witness
 from subseqrep.oracles import oracle_cube_table, oracle_square_table
 from subseqrep.tables import (
     IntervalTable,
@@ -183,7 +183,34 @@ def unpruned_cube_witness(seq, i, j):
                 best_val, best_cuts = v, (c1, c2)
     if best_val == 0:
         return None
-    c1, c2 = best_cuts
+    return cube_block(letters, i, j, *best_cuts)
+
+
+def index_order_cube_witnesses(seq) -> dict:
+    """Every interval's witness from an index-order argmax with no screens.
+
+    One all-prefix 3-way DP per (i, c1, c2) answers every end point j, and
+    a later pair replaces the best only when strictly longer, so each
+    interval keeps its smallest (c1, c2) reaching the optimum.
+    """
+    letters = seq.letters
+    n = seq.n
+    best = {}
+    for i in range(1, n + 1):
+        for c1 in range(i, n - 1):
+            for c2 in range(c1 + 1, n):
+                f = lcs3_all_prefixes(letters[i - 1 : c1], letters[c1:c2], letters[c2:])
+                for j in range(c2 + 1, n + 1):
+                    if f[j - c2] > best.get((i, j), (0,))[0]:
+                        best[i, j] = (f[j - c2], c1, c2)
+    witnesses = {(i, j): None for i in range(1, n + 1) for j in range(i, n + 1)}
+    for (i, j), (_, c1, c2) in best.items():
+        witnesses[i, j] = cube_block(letters, i, j, c1, c2)
+    return witnesses
+
+
+def cube_block(letters, i, j, c1, c2):
+    """The exponent-3 block of S[i..j] traced back across the cuts c1 < c2."""
     word, pa, pb, pc = lcs3_witness(letters[i - 1 : c1], letters[c1:c2], letters[c2:j])
     copies = (
         tuple(i - 1 + p for p in pa),
@@ -226,3 +253,34 @@ def test_longer_cube_exists_matches_cube_table():
         for root in range(top + 2):
             assert longer_cube_exists(seq, root) == (root < top), (seq.render(), root)
     assert not longer_cube_exists(parse_sequence(""), 0)
+
+
+def _best_first_cases():
+    rng = random.Random(28)
+    texts = ["ab" * 12, "abc" * 7, "aab" * 8, "a" * 20, "a" * 16]
+    texts += [random_string(rng, 24, sigma=sigma, min_n=16) for sigma in range(2, 9)]
+    return [parse_sequence(t) for t in texts]
+
+
+@pytest.mark.parametrize("seq", _best_first_cases(), ids=lambda s: s.render())
+def test_best_first_cube_witness_matches_index_order(seq):
+    # every interval, with and without the cut vectors of square_table:
+    # the same smallest-(c1, c2) maximum as a scan in index order
+    expected = index_order_cube_witnesses(seq)
+    pre = [None] * seq.n
+    square_table(seq, pre=pre)
+    for (i, j), want in expected.items():
+        assert cube_witness(seq, i, j) == want, (seq.render(), i, j)
+        assert cube_witness(seq, i, j, pre=pre) == want, (seq.render(), i, j)
+
+
+def test_square_table_fills_the_cut_vectors():
+    rng = random.Random(29)
+    texts = [random_string(rng, 32, sigma=sigma, min_n=20) for sigma in (2, 4, 8)]
+    texts += ["", "a", "ab" * 9, "a" * 17]
+    for text in texts:
+        seq = parse_sequence(text)
+        pre = [None] * seq.n
+        assert square_table(seq, pre=pre) == square_table(seq), text
+        for s in range(seq.n):
+            assert pre[s] == lcs2_cut_prefixes(seq.letters, s), (text, s)
