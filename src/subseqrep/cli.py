@@ -8,8 +8,10 @@ subtree so the rest is byte-stable across runs.
 
 Exit codes: 0 ok, 2 input error, 3 budget or guard exceeded,
 4 internal invariant failure, 130 interrupted (Ctrl-C), 141 stdout
-closed by its reader (broken pipe).  Exit 2 covers only errors raised
-while reading and parsing input; any other ValueError is internal.
+closed by its reader (broken pipe).  Exit 2 covers errors raised while
+reading and parsing input, and a report that cannot be written to its
+``-o`` file ("output error: ..." on stderr); any other ValueError is
+internal.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ EXIT_BROKEN_PIPE = 141
 
 
 class _InputError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -159,8 +165,9 @@ def cmd_analyze(args) -> int:
 def analyze_report(seq: Sequence) -> dict:
     """The ``analyze`` report of one sequence, ``timing_ms`` included.
 
-    Every stage reads one list of cut vectors, which the square table
-    fills.  Raises ``_InternalError`` when a witness fails validation or
+    The square table fills one list of cut vectors, which the proof row
+    and ``lsrs``'s cube rows read; the witnesses build their own.
+    Raises ``_InternalError`` when a witness fails validation or
     disagrees with its bound.
     """
     n = seq.n
@@ -171,7 +178,7 @@ def analyze_report(seq: Sequence) -> dict:
     sq_len = q2.get(1, n) if n else 0
     t0 = time.perf_counter()
     sq_wit = square_witness(seq, 1, n) if sq_len else None
-    cu_wit = cube_witness(seq, 1, n, pre=pre) if n else None
+    cu_wit = cube_witness(seq, 1, n) if n else None
     witnesses_ms = _ms_since(t0)
     # the witness bounds the longest cube from below, one bounded cube
     # row from above
@@ -438,8 +445,11 @@ def _emit(args, doc) -> None:
 def _emit_text(args, text: str) -> None:
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _OutputError(str(exc)) from exc
     else:
         sys.stdout.write(text)
         sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
@@ -532,6 +542,9 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except (_InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (BudgetExceededError, OccurrenceBoundError, InstanceSizeError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

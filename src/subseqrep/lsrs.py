@@ -63,9 +63,10 @@ def lsrs(
     materialized; such a j only forwards L(j).  Without ``q3`` only the
     cube cells the DP can pick are built; a ``q3`` passed in is read as
     it is.  ``pre`` is the sequence's cut-vector list, as ``square_table``
-    fills it; the cube rows and witnesses read it, and without it they
-    share one of their own.  ``threads`` is accepted for compatibility
-    and has no effect.
+    fills it; the targeted cube rows read it, and without it they share
+    one of their own.  The interval witnesses of the traceback take no
+    shared state.  ``threads`` is accepted for compatibility and has no
+    effect.
     """
     n = seq.n
     if pre is None:
@@ -122,7 +123,7 @@ def lsrs(
             wit = square_witness(seq, j + 1, i)
             blocks.append(wit.blocks[0])
         elif kind == "cube":
-            wit = cube_witness(seq, j + 1, i, pre=pre)
+            wit = cube_witness(seq, j + 1, i)
             blocks.append(wit.blocks[0])
         i = j
     blocks.reverse()

@@ -38,26 +38,24 @@ fitted cube slope of acceptance criterion 6 (n = 8/16/32) to 4.39-4.48,
 under its 4.5 floor (ROADMAP item 5).
 
 Witnesses are rebuilt on demand per interval -- storing tracebacks for
-all O(n^2) intervals would dwarf the tables themselves.  ``cube_witness``
-searches its cut pairs best-first, in the order of (-bound, c1, c2)
-with bound = min(LCS(a, b), LCS(a, c)), one bound value at a time.  It
-stops at the first pair whose bound is below the best root found so
-far.  A pair whose bound, or whose LCS(b, c), only equals the best is
-skipped unless (c1, c2) is smaller than the best pair, and a pair that
-ties the best replaces it only when smaller.  It returns the pair an
-index-order scan returns, the smallest P = (c1, c2) reaching the
-maximum root M.  P's bound is at least M and the best never exceeds M,
-so the loop reaches P.  There the best is either below M, and P beats
-it, or equal to M at a larger pair, and P passes the tie rules and
-replaces it.  After that no pair can beat M or tie it from a smaller
-pair.
+all O(n^2) intervals would dwarf the tables themselves.  They take no
+shared state: each builds the 2-way vectors of its own interval.
+``cube_witness`` files its cut pairs by bound = min(LCS(a, b), LCS(a, c))
+and visits them from the highest bound, keeping the pair with the
+largest key (root, -c1, -c2): the longest root at the smallest (c1, c2),
+which is what an index-order scan returns.  No root exceeds its pair's
+bound or LCS(b, c), so a pair whose (bound, -c1, -c2) or (LCS(b, c),
+-c1, -c2) is not above the best key cannot replace it, and neither can
+any later pair of the same bound (their keys fall along the list) or of
+a lower bound once that bound is below the best root.
 
 The prefix vectors pre[s] are ``lcs2_cut_prefixes(letters, s)``, the
 same 2-way rows the square table computes.  ``square_table`` stores them
-in a ``pre`` list when given one, and ``cube_witness``,
-``longer_cube_exists`` and ``lsrs`` read such a list, so ``analyze``
-builds them once per sequence.  Without the list the square table keeps
-none of them, which keeps its memory O(n^2).
+in a ``pre`` list when given one, and ``longer_cube_exists`` and
+``lsrs`` hand such a list to their cube rows, so ``analyze`` builds them
+once per sequence; ``cube_table`` shares one list among its rows.
+Without the list the square table keeps none of them, which keeps its
+memory O(n^2).
 """
 
 from __future__ import annotations
@@ -333,55 +331,50 @@ def square_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
     return SrsDecomposition((Block(tuple(word), 2, (copy1, copy2)),))
 
 
-def cube_witness(
-    seq: Sequence, i: int, j: int, *, pre: list | None = None
-) -> SrsDecomposition | None:
+def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
     """Single exponent-3 block of length Q3[i, j], or None when that is 0.
 
     Ties broken by the smallest (c1, c2) cut pair.  The pairs run
     best-first on the bound min(LCS(a, b), LCS(a, c)); see the module
-    docstring for why that returns the index-order scan's pair.  ``pre``
-    is the sequence's cut-vector list, as ``square_table`` fills it: with
-    it LCS(a, b) and LCS(b, c) are read, not computed.
+    docstring for why that returns the index-order scan's pair.
     """
     _bounds_check(seq, i, j)
     letters = seq.letters
     # ab_rows[c1 - i][c2 - c1] = LCS(a, S[c1+1..c2]), every c1 in one pass
-    if pre is None:
-        ab_rows = lcs2_cut_prefixes(letters[:j], i - 1)
-    else:
-        ab_rows = _cut_vectors(pre, letters, i - 1)
-    # bounds[c1 - i][c2 - c1 - 1] = min(LCS(a, b), LCS(a, c)), with
-    # ac[j - c2] = LCS(a, S[c2+1..j])
-    bounds = []
+    ab_rows = lcs2_cut_prefixes(letters[:j], i - 1)
+    # pairs[r]: the cut pairs with bound min(LCS(a, b), LCS(a, c)) = r > 0,
+    # in (c1, c2) order, with ac[j - c2] = LCS(a, S[c2+1..j]); no bound
+    # exceeds a third of the interval.  The lists run c1, c2, c1, c2, ...:
+    # a tuple per pair raised the peak memory of n = 32 queries by 0.1 MiB.
+    pairs = [[] for _ in range((j - i + 1) // 3 + 1)]
     for c1 in range(i, j - 1):
         ab = ab_rows[c1 - i]
         ac = lcs2_all_prefixes(letters[i - 1 : c1][::-1], letters[c1:j][::-1])
-        bounds.append(list(map(min, ab[1 : j - c1], ac[j - c1 - 1 : 0 : -1])))
-    best_val = 0
-    best_cuts = (0, 0)  # below every pair, so nothing ties its way past 0
-    for bound in range(max(map(max, bounds), default=0), 0, -1):
-        if bound < best_val:
+        bounds = map(min, ab[1 : j - c1], ac[j - c1 - 1 : 0 : -1])
+        for c2, r in enumerate(bounds, c1 + 1):
+            if r:
+                pairs[r] += c1, c2
+    # a pair replaces the best only when its key (root, -c1, -c2) is
+    # larger; (0, 0) stands for no cube, above every pair's root-0 key
+    best = (0, 0)
+    for bound in range(len(pairs) - 1, 0, -1):
+        if bound < best[0]:
             break
-        for c1, c2 in _pairs_with_bound(bounds, i, bound):
-            # a pair that can only tie the best wins only if it is smaller
-            if bound == best_val and (c1, c2) > best_cuts:
-                continue
+        flat = iter(pairs[bound])
+        for c1, c2 in zip(flat, flat):
+            # keys fall along the list, and no root exceeds its bound
+            if (bound, -c1, -c2) <= best:
+                break
             b = letters[c1:c2]
             c = letters[c2:j]
-            if pre is None:
-                bc = lcs2_all_prefixes(b, c)[-1]
-            else:
-                bc = _cut_vectors(pre, letters, c1)[c2 - c1 - 1][j - c2]
-            if bc < best_val or (bc == best_val and (c1, c2) > best_cuts):
+            if (lcs2_all_prefixes(b, c)[-1], -c1, -c2) <= best:
                 continue
-            f = lcs3_all_prefixes(letters[i - 1 : c1], b, c)[-1]
-            if f > best_val or (f == best_val and (c1, c2) < best_cuts):
-                best_val = f
-                best_cuts = (c1, c2)
-    if best_val == 0:
+            key = (lcs3_all_prefixes(letters[i - 1 : c1], b, c)[-1], -c1, -c2)
+            if key > best:
+                best = key
+    if best == (0, 0):
         return None
-    c1, c2 = best_cuts
+    c1, c2 = -best[1], -best[2]
     word, pa, pb, pc = lcs3_witness(
         letters[i - 1 : c1], letters[c1:c2], letters[c2:j]
     )
@@ -391,12 +384,3 @@ def cube_witness(
         tuple(c2 + p for p in pc),
     )
     return SrsDecomposition((Block(tuple(word), 3, copies),))
-
-
-def _pairs_with_bound(bounds: list[list[int]], i: int, bound: int):
-    """The cut pairs (c1, c2), in order, whose ``cube_witness`` bound is ``bound``."""
-    for c1, row in enumerate(bounds, i):
-        if bound in row:
-            for c2, r in enumerate(row, c1 + 1):
-                if r == bound:
-                    yield c1, c2

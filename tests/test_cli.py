@@ -232,6 +232,21 @@ def test_output_file_option(tmp_path, capsys):
     assert json.loads(out_path.read_text())["lsrs"]["length"] == 4
 
 
+def test_unwritable_output_is_an_output_error(tmp_path, capsys):
+    # the report is made and cannot be written: one line, exit 2
+    path = write(tmp_path, "seq.txt", "abab\n")
+    out_path = str(tmp_path / "missing" / "out.json")
+    for argv in (["analyze", path], ["bench", "--alg", "q2", "--sizes", "4,8", "--reps", "1"]):
+        code, out, err = run_cli(capsys, *argv, "-o", out_path)
+        assert code == 2 and out == "", argv
+        assert err.startswith("output error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
+    # the input is read first, so a missing one is still an input error
+    code, _, err = run_cli(capsys, "analyze", str(tmp_path / "nope.txt"), "-o", out_path)
+    assert code == 2
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
     # force the pre-print witness validation to report a violation
     monkeypatch.setattr("subseqrep.cli.validate_srs", lambda *a, **k: ["forced"])
@@ -244,8 +259,8 @@ def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_analyze_catches_a_cube_witness_one_root_short(tmp_path, capsys, monkeypatch):
     real = cli.cube_witness
 
-    def one_short(seq, i, j, *, pre=None):
-        (block,) = real(seq, i, j, pre=pre).blocks
+    def one_short(seq, i, j):
+        (block,) = real(seq, i, j).blocks
         copies = tuple(copy[1:] for copy in block.copies)
         return SrsDecomposition((Block(block.root[1:], 3, copies),))
 
@@ -524,7 +539,7 @@ def test_closed_stdout_exits_141_without_traceback():
     assert proc.stderr == ""
 
 
-def test_ctrl_c_during_pool_exits_130_with_one_line(tmp_path):
+def test_ctrl_c_during_cube_table_exits_130_with_one_line(tmp_path):
     # Ctrl-C signals the whole process group; the cube table is built in
     # the CLI process, which must exit 130 and leave no process behind
     path = write(tmp_path, "seq.txt", _bench_input("q3", 64, 0).render("") + "\n")

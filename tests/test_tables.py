@@ -242,7 +242,7 @@ def test_pruned_cube_matches_unpruned_search():
 
 def test_longer_cube_exists_matches_cube_table():
     # the proof row against the full table's longest cube, at every root
-    # length around it
+    # length around it, with its own cut vectors and with square_table's
     rng = random.Random(27)
     texts = [random_string(rng, 40, sigma=rng.randint(2, 8), min_n=24) for _ in range(8)]
     texts += ["abc" * 11, "aab" * 12, "a" * 30]
@@ -250,8 +250,14 @@ def test_longer_cube_exists_matches_cube_table():
     seqs.append(sequence_from_tokens([f"x{p}" for p in range(30)]))  # all distinct
     for seq in seqs:
         top = cube_table(seq, threads=1).get(1, seq.n) // 3
+        pre = [None] * seq.n
+        square_table(seq, pre=pre)
         for root in range(top + 2):
             assert longer_cube_exists(seq, root) == (root < top), (seq.render(), root)
+            assert longer_cube_exists(seq, root, pre=pre) == (root < top), (
+                seq.render(),
+                root,
+            )
     assert not longer_cube_exists(parse_sequence(""), 0)
 
 
@@ -264,14 +270,11 @@ def _best_first_cases():
 
 @pytest.mark.parametrize("seq", _best_first_cases(), ids=lambda s: s.render())
 def test_best_first_cube_witness_matches_index_order(seq):
-    # every interval, with and without the cut vectors of square_table:
-    # the same smallest-(c1, c2) maximum as a scan in index order
+    # every interval: the same smallest-(c1, c2) maximum as a scan in
+    # index order
     expected = index_order_cube_witnesses(seq)
-    pre = [None] * seq.n
-    square_table(seq, pre=pre)
     for (i, j), want in expected.items():
         assert cube_witness(seq, i, j) == want, (seq.render(), i, j)
-        assert cube_witness(seq, i, j, pre=pre) == want, (seq.render(), i, j)
 
 
 def test_square_table_fills_the_cut_vectors():
