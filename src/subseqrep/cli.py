@@ -37,7 +37,6 @@ from .core import (
 from .hardness import (
     InstanceSizeError,
     assignment_from_coloring,
-    check_reduction_invariants,
     coloring_to_sat,
     extract_witness,
     parse_graph,
@@ -56,9 +55,9 @@ from .oracles import (
 )
 from .plus3 import OccurrenceBoundError, lsrs_plus3
 from .tables import (
+    check_no_longer_cube,
+    cube_search,
     cube_table,
-    cube_witness,
-    longer_cube_exists,
     square_table,
     square_witness,
 )
@@ -165,10 +164,13 @@ def cmd_analyze(args) -> int:
 def analyze_report(seq: Sequence) -> dict:
     """The ``analyze`` report of one sequence, ``timing_ms`` included.
 
-    The square table fills one list of cut vectors, which the proof row
-    and ``lsrs``'s cube rows read; the witnesses build their own.
-    Raises ``_InternalError`` when a witness fails validation or
-    disagrees with its bound.
+    The square table fills one list of cut vectors, which the cube check
+    and ``lsrs``'s cube rows read; the witnesses build their own.  The
+    cube witness validates, which bounds the longest cube from below;
+    ``check_no_longer_cube`` bounds it from above with the 3-way values
+    the witness's search ran.  Raises ``_InternalError`` when a witness
+    fails validation or disagrees with its bound, and AssertionError
+    when the cube check fails.
     """
     n = seq.n
     pre = [None] * n
@@ -178,16 +180,13 @@ def analyze_report(seq: Sequence) -> dict:
     sq_len = q2.get(1, n) if n else 0
     t0 = time.perf_counter()
     sq_wit = square_witness(seq, 1, n) if sq_len else None
-    cu_wit = cube_witness(seq, 1, n) if n else None
+    cu_wit, cu_runs = cube_search(seq, 1, n) if n else (None, {})
     witnesses_ms = _ms_since(t0)
-    # the witness bounds the longest cube from below, one bounded cube
-    # row from above
     if cu_wit is not None and [b.exponent for b in cu_wit.blocks] != [3]:
         raise _InternalError("cube witness is not a single exponent-3 block")
     cu_len = cu_wit.total_length if cu_wit else 0
     t0 = time.perf_counter()
-    if longer_cube_exists(seq, cu_len // 3, pre=pre):
-        raise _InternalError(f"a cube longer than the witness's {cu_len} exists")
+    check_no_longer_cube(seq, cu_len // 3, cu_runs, pre)
     timing = {"square": square_ms, "cube": _ms_since(t0), "witnesses": witnesses_ms}
     max_occurrence = max(Counter(seq.letters).values(), default=0)
     report = {
@@ -289,9 +288,6 @@ def cmd_reduce(args) -> int:
     if not sat.plus_clauses:
         raise _InputError("cannot build an instance for an empty formula")
     instance = sat_to_string(sat)
-    problems = check_reduction_invariants(instance)
-    if problems:
-        raise _InternalError("; ".join(problems))
     if args.format == "tokens":
         _emit_text(args, instance.seq.render(" ") + "\n")
         return EXIT_OK

@@ -44,12 +44,6 @@ class Sequence:
     def token_at(self, pos: int) -> str:
         return self.tokens[self.letter_at(pos)]
 
-    def slice_ids(self, i: int, j: int) -> tuple[int, ...]:
-        """Letter ids of the substring at 1-based inclusive interval [i, j]."""
-        if i > j:
-            return ()
-        return self.letters[i - 1 : j]
-
     def render(self, sep: str | None = None) -> str:
         """Display form; ``sep`` defaults to "" for single-char alphabets, else " "."""
         if sep is None:

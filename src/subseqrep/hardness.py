@@ -106,7 +106,9 @@ class SatInstance:
 def validate_sat_instance(f: SatInstance) -> list[str]:
     problems = []
     seen: set[int] = set()
-    for clause in f.plus_clauses:
+    for pos, clause in enumerate(f.plus_clauses, start=1):
+        if len(clause) != 3:
+            problems.append(f"positive clause {pos} holds {len(clause)} variables, not 3")
         for v in clause:
             if not 1 <= v <= f.num_vars:
                 problems.append(f"variable {v} out of range")

@@ -63,9 +63,9 @@ def lsrs(
     materialized; such a j only forwards L(j).  Without ``q3`` only the
     cube cells the DP can pick are built; a ``q3`` passed in is read as
     it is.  ``pre`` is the sequence's cut-vector list, as ``square_table``
-    fills it; the targeted cube rows read it, and without it they share
-    one of their own.  The interval witnesses of the traceback take no
-    shared state.  ``threads`` is accepted for compatibility and has no
+    fills it (``analyze`` passes the one its cube check reads); the
+    targeted cube rows read it, and without it they share one of their
+    own.  The interval witnesses of the traceback take no shared state.  ``threads`` is accepted for compatibility and has no
     effect.
     """
     n = seq.n

@@ -27,15 +27,15 @@ last open cell.  The pairwise LCS values come from prefix vectors
 pre[s][m][k] = LCS(S[s..m], S[m+1..m+k]), built with the bit-parallel
 2-way engine once per start, on first use: O(n^2) vectors, O(n^3) ints.
 
-A bounded row (one with a floor, as ``lsrs`` and ``longer_cube_exists``
-build them) adds a third pairwise screen, LCS(a, b, c[:k]) <=
-LCS(a, c[:k]), from one bit-parallel row of a against c per pair that
-passes the others.  There the floor keeps the thresholds high, and the
-screen cuts the 3-way DPs of ``longer_cube_exists`` about 4x (637 to 150
-over ten random ACGT strings of length 48).  ``cube_table`` leaves it
-out: it made the full table about 2.2x faster at n = 48, which pulls the
-fitted cube slope of acceptance criterion 6 (n = 8/16/32) to 4.39-4.48,
-under its 4.5 floor (ROADMAP item 5).
+A bounded row (one with a floor, as ``lsrs`` builds them) adds a third
+pairwise screen, LCS(a, b, c[:k]) <= LCS(a, c[:k]), from one
+bit-parallel row of a against c per pair that passes the others.  There
+the floor keeps the thresholds high, and the screen cuts the 3-way DPs
+of ``lsrs``'s rows about 3.5x (141 to 40 over ten random ACGT strings
+of length 48).  ``cube_table`` leaves it out: it made the full table
+about 2.2x faster at n = 48, which pulls the fitted cube slope of
+acceptance criterion 6 (n = 8/16/32) to 4.39-4.48, under its 4.5 floor
+(ROADMAP item 4).
 
 Witnesses are rebuilt on demand per interval -- storing tracebacks for
 all O(n^2) intervals would dwarf the tables themselves.  They take no
@@ -49,10 +49,19 @@ bound or LCS(b, c), so a pair whose (bound, -c1, -c2) or (LCS(b, c),
 any later pair of the same bound (their keys fall along the list) or of
 a lower bound once that bound is below the best root.
 
+So the search runs the 3-way DP of every pair whose LCS(a, b), LCS(a, c)
+and LCS(b, c) all exceed the root it returns, and ``cube_search`` hands
+back those values.  ``check_no_longer_cube`` proves the root of the
+whole sequence longest from them: it reads the three pairwise values of
+every cut pair, and a pair that clears the root on all three must have
+run, with a value no longer than the root.  Any longer root lies in
+such a pair, so the check holds whatever order, stop test or screens
+the search uses; like the search, it trusts the 3-way engine.
+
 The prefix vectors pre[s] are ``lcs2_cut_prefixes(letters, s)``, the
 same 2-way rows the square table computes.  ``square_table`` stores them
-in a ``pre`` list when given one, and ``longer_cube_exists`` and
-``lsrs`` hand such a list to their cube rows, so ``analyze`` builds them
+in a ``pre`` list when given one; ``lsrs`` hands such a list to its cube
+rows and ``check_no_longer_cube`` reads one, so ``analyze`` builds them
 once per sequence; ``cube_table`` shares one list among its rows.
 Without the list the square table keeps none of them, which keeps its
 memory O(n^2).
@@ -146,11 +155,12 @@ def _cube_row(
 
     ``floor`` (one root length per cell, non-decreasing along the row)
     asks only for roots longer than it: such cells come back exact and
-    every other cell as 0.  It seeds ``best``, so the screens below skip
-    every cut pair that cannot beat it; they take the first open cell's
-    threshold as the row's smallest, hence the order requirement.  With
-    a floor, a pair must also pass LCS(a, c[:k]) > best at the first
-    cell its DP would raise; without one the row runs the screens of the
+    every other cell as 0.  ``lsrs``'s targeted rows pass one; it seeds
+    ``best``, so the screens below skip every cut pair that cannot beat
+    it, and they take the first open cell's threshold as the row's
+    smallest, hence the order requirement.  With a floor, a pair must
+    also pass LCS(a, c[:k]) > best at the first cell its DP would raise;
+    without one, as in ``cube_table``, the row runs the screens of the
     full table alone (see the module docstring).
     """
     # best[j - s]: longest cube root found in S[s..j].  cap[j - s] is the
@@ -267,22 +277,6 @@ def cube_table(seq: Sequence, threads: int | None = None) -> IntervalTable:
     return table
 
 
-def longer_cube_exists(seq: Sequence, root: int, *, pre: list | None = None) -> bool:
-    """Does ``seq`` hold a cubic subsequence with a root longer than ``root``?
-
-    One cube row with ``root`` as every cell's floor, so only the cut
-    pairs that could beat it run the 3-way DP: each must have LCS(a, b),
-    LCS(b, c), LCS(a, c) and the letter-count bound all above ``root``
-    (the bounded row's screens, see the module docstring).  ``pre`` is
-    the sequence's cut-vector list, as ``square_table`` fills it; without
-    it the row builds its own.
-    """
-    n = seq.n
-    if pre is None:
-        pre = [None] * n
-    return n > 0 and _cube_row(seq.letters, pre, 1, [root] * n)[-1] > 0
-
-
 def _check_repeat_table(table: IntervalTable, divisor: int) -> None:
     """Divisibility and containment monotonicity; cheap next to construction."""
     n = table.n
@@ -338,6 +332,18 @@ def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
     best-first on the bound min(LCS(a, b), LCS(a, c)); see the module
     docstring for why that returns the index-order scan's pair.
     """
+    return cube_search(seq, i, j)[0]
+
+
+def cube_search(
+    seq: Sequence, i: int, j: int
+) -> tuple[SrsDecomposition | None, dict[tuple[int, int], int]]:
+    """``cube_witness(seq, i, j)`` and the 3-way values its search ran.
+
+    The dict maps each cut pair (c1, c2) whose 3-way DP ran to
+    LCS(S[i..c1], S[c1+1..c2], S[c2+1..j]); ``check_no_longer_cube``
+    reads it to prove the witness of the whole sequence longest.
+    """
     _bounds_check(seq, i, j)
     letters = seq.letters
     # ab_rows[c1 - i][c2 - c1] = LCS(a, S[c1+1..c2]), every c1 in one pass
@@ -357,6 +363,7 @@ def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
     # a pair replaces the best only when its key (root, -c1, -c2) is
     # larger; (0, 0) stands for no cube, above every pair's root-0 key
     best = (0, 0)
+    runs = {}
     for bound in range(len(pairs) - 1, 0, -1):
         if bound < best[0]:
             break
@@ -369,11 +376,11 @@ def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
             c = letters[c2:j]
             if (lcs2_all_prefixes(b, c)[-1], -c1, -c2) <= best:
                 continue
-            key = (lcs3_all_prefixes(letters[i - 1 : c1], b, c)[-1], -c1, -c2)
-            if key > best:
-                best = key
+            root = runs[c1, c2] = lcs3_all_prefixes(letters[i - 1 : c1], b, c)[-1]
+            if (root, -c1, -c2) > best:
+                best = (root, -c1, -c2)
     if best == (0, 0):
-        return None
+        return None, runs
     c1, c2 = -best[1], -best[2]
     word, pa, pb, pc = lcs3_witness(
         letters[i - 1 : c1], letters[c1:c2], letters[c2:j]
@@ -383,4 +390,33 @@ def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
         tuple(c1 + p for p in pb),
         tuple(c2 + p for p in pc),
     )
-    return SrsDecomposition((Block(tuple(word), 3, copies),))
+    return SrsDecomposition((Block(tuple(word), 3, copies),)), runs
+
+
+def check_no_longer_cube(
+    seq: Sequence, root: int, runs: dict[tuple[int, int], int], pre: list
+) -> None:
+    """Raise AssertionError unless no cube root of ``seq`` exceeds ``root``.
+
+    ``runs`` is the dict of ``cube_search(seq, 1, n)`` and ``pre`` the
+    sequence's cut-vector list (see ``_cut_vectors``).  A longer root
+    lies in a cut pair whose LCS(a, b), LCS(a, c) and LCS(b, c) all
+    exceed ``root``; every such pair must be in ``runs`` with a value of
+    at most ``root`` (see the module docstring).
+    """
+    letters = seq.letters
+    n = len(letters)
+    for c1 in range(1, n - 1):
+        ab = _cut_vectors(pre, letters, 0)[c1 - 1]
+        bc_rows = _cut_vectors(pre, letters, c1)
+        # ac[n - c2] = LCS(a, S[c2+1..n])
+        ac = lcs2_all_prefixes(letters[:c1][::-1], letters[c1:][::-1])
+        for c2 in range(c1 + 1, n):
+            if min(ab[c2 - c1], ac[n - c2], bc_rows[c2 - c1 - 1][-1]) <= root:
+                continue
+            got = runs.get((c1, c2))
+            if got is None or got > root:
+                raise AssertionError(
+                    f"a cube root longer than {root} may lie in cut pair ({c1}, {c2}): "
+                    + ("the search did not run it" if got is None else f"its root is {got}")
+                )

@@ -257,18 +257,19 @@ def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_catches_a_cube_witness_one_root_short(tmp_path, capsys, monkeypatch):
-    real = cli.cube_witness
+    real = cli.cube_search
 
     def one_short(seq, i, j):
-        (block,) = real(seq, i, j).blocks
+        wit, runs = real(seq, i, j)
+        (block,) = wit.blocks
         copies = tuple(copy[1:] for copy in block.copies)
-        return SrsDecomposition((Block(block.root[1:], 3, copies),))
+        return SrsDecomposition((Block(block.root[1:], 3, copies),)), runs
 
     text = "abc" * 21 + "a"
     code, out, _ = run_cli(capsys, "analyze", write(tmp_path, "seq.txt", text + "\n"))
     assert code == 0 and json.loads(out)["cube"]["length"] == 63
-    assert validate_srs(parse_sequence(text), one_short(parse_sequence(text), 1, 64)) == []
-    monkeypatch.setattr(cli, "cube_witness", one_short)
+    assert validate_srs(parse_sequence(text), one_short(parse_sequence(text), 1, 64)[0]) == []
+    monkeypatch.setattr(cli, "cube_search", one_short)
     for seq_text in ("ACGAGCGCAGCGA", text):
         path = write(tmp_path, "seq.txt", seq_text + "\n")
         code, out, err = run_cli(capsys, "analyze", path)
@@ -448,6 +449,15 @@ def test_parse_errors_are_input_errors(tmp_path, capsys):
     malformed = write(tmp_path, "malformed.json", json.dumps({"num_vars": 1}))
     code, _, err = run_cli(capsys, "reduce", "--from", "sat", "--to", "string", malformed)
     assert code == 2 and "malformed SAT document" in err
+
+    # a positive clause must hold exactly 3 variables, for either target
+    for clause in ([1, 2], [1, 2, 3, 4]):
+        doc = {"num_vars": len(clause), "plus_clauses": [clause], "neg_clauses": []}
+        bad = write(tmp_path, "bad.sat.json", json.dumps(doc))
+        for target in (["string"], ["sat", "--format", "dimacs"]):
+            code, out, err = run_cli(capsys, "reduce", "--from", "sat", "--to", *target, bad)
+            assert code == 2 and out == "", (clause, target)
+            assert err.startswith("input error") and "not 3" in err, (clause, target)
 
     graph = write(tmp_path, "k3.graph", K3_GRAPH)
     for text in ("1 x 3\n", "1 2\n", "1 2 7\n"):

@@ -243,3 +243,7 @@ def test_sat_json_round_trip():
     assert back == f
     with pytest.raises(ValueError):
         sat_from_json_doc({"num_vars": 3, "plus_clauses": [[1, 1, 2]], "neg_clauses": []})
+    for clause in ([1, 2], [1, 2, 3, 4]):
+        doc = {"num_vars": len(clause), "plus_clauses": [clause], "neg_clauses": []}
+        with pytest.raises(ValueError, match=f"holds {len(clause)} variables, not 3"):
+            sat_from_json_doc(doc)

@@ -1,8 +1,8 @@
 """Properties that need no oracle, at n = 24-64, past the oracles' reach.
 
-At n = 48-64 they cover the path `analyze` takes there: the cube witness
-of the whole sequence, the bounded cube row that proves no longer cube
-exists, and the LSRS DP with its targeted cube cells.  At n = 24-40 they
+At n = 48-64 they cover the path `analyze` takes there: the cube search
+of the whole sequence, the check that proves no longer cube exists, and
+the LSRS DP with its targeted cube cells.  At n = 24-40 they
 cover the full square and cube tables.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from subseqrep import cli
 from subseqrep.core import Sequence, parse_sequence
 from subseqrep.lsrs import lsrs
-from subseqrep.tables import cube_table, cube_witness, longer_cube_exists, square_table
+from subseqrep.tables import check_no_longer_cube, cube_search, cube_table, square_table
 
 from helpers import random_bound3_string, random_string
 
@@ -45,9 +45,9 @@ def _lengths(doc: dict) -> dict:
 def _library_lengths(seq: Sequence) -> dict:
     """The lengths `analyze` reports, from the library calls it makes."""
     n = seq.n
-    cube = cube_witness(seq, 1, n)
+    cube, runs = cube_search(seq, 1, n)
     root = len(cube.blocks[0].root) if cube else 0
-    assert not longer_cube_exists(seq, root)
+    check_no_longer_cube(seq, root, runs, [None] * n)
     return {"square": square_table(seq).get(1, n), "cube": 3 * root, "lsrs": lsrs(seq).length}
 
 

@@ -9,13 +9,14 @@ from subseqrep.core import (
     sequence_from_tokens,
     validate_srs,
 )
-from subseqrep.lcs import lcs2_cut_prefixes, lcs3_all_prefixes, lcs3_witness
+from subseqrep.lcs import lcs2_all_prefixes, lcs2_cut_prefixes, lcs3_all_prefixes, lcs3_witness
 from subseqrep.oracles import oracle_cube_table, oracle_square_table
 from subseqrep.tables import (
     IntervalTable,
+    check_no_longer_cube,
+    cube_search,
     cube_table,
     cube_witness,
-    longer_cube_exists,
     square_table,
     square_witness,
 )
@@ -240,9 +241,10 @@ def test_pruned_cube_matches_unpruned_search():
             )
 
 
-def test_longer_cube_exists_matches_cube_table():
-    # the proof row against the full table's longest cube, at every root
-    # length around it, with its own cut vectors and with square_table's
+def test_cube_search_matches_cube_table():
+    # the whole-sequence search's root against the full table's longest
+    # cube, and the check that proves it, with its own cut vectors and
+    # with square_table's
     rng = random.Random(27)
     texts = [random_string(rng, 40, sigma=rng.randint(2, 8), min_n=24) for _ in range(8)]
     texts += ["abc" * 11, "aab" * 12, "a" * 30]
@@ -250,15 +252,45 @@ def test_longer_cube_exists_matches_cube_table():
     seqs.append(sequence_from_tokens([f"x{p}" for p in range(30)]))  # all distinct
     for seq in seqs:
         top = cube_table(seq, threads=1).get(1, seq.n) // 3
+        wit, runs = cube_search(seq, 1, seq.n)
+        assert (len(wit.blocks[0].root) if wit else 0) == top, seq.render()
+        assert wit == cube_witness(seq, 1, seq.n)
+        check_no_longer_cube(seq, top, runs, [None] * seq.n)
         pre = [None] * seq.n
         square_table(seq, pre=pre)
-        for root in range(top + 2):
-            assert longer_cube_exists(seq, root) == (root < top), (seq.render(), root)
-            assert longer_cube_exists(seq, root, pre=pre) == (root < top), (
-                seq.render(),
-                root,
-            )
-    assert not longer_cube_exists(parse_sequence(""), 0)
+        check_no_longer_cube(seq, top, runs, pre)
+        if top:
+            with pytest.raises(AssertionError):
+                check_no_longer_cube(seq, top - 1, runs, pre)
+    check_no_longer_cube(parse_sequence(""), 0, {}, [])
+
+
+def test_cube_check_catches_a_missing_pair_and_a_short_root():
+    # the check needs exactly the pairs whose three pairwise LCS values
+    # exceed the root, and each of their values at or below it
+    rng = random.Random(29)
+    texts = ["ACGAGCGCAGCGA"] + [random_string(rng, 24, sigma=4, min_n=16) for _ in range(4)]
+    dropped = 0
+    for text in texts:
+        seq = parse_sequence(text)
+        letters = seq.letters
+        pre = [None] * seq.n
+        wit, runs = cube_search(seq, 1, seq.n)
+        root = len(wit.blocks[0].root) if wit else 0
+        for c1, c2 in runs:
+            a, b, c = letters[:c1], letters[c1:c2], letters[c2:]
+            least = min(lcs2_all_prefixes(x, y)[-1] for x, y in ((a, b), (a, c), (b, c)))
+            rest = {pair: v for pair, v in runs.items() if pair != (c1, c2)}
+            if least > root:
+                dropped += 1
+                with pytest.raises(AssertionError, match="did not run it"):
+                    check_no_longer_cube(seq, root, rest, pre)
+            else:
+                check_no_longer_cube(seq, root, rest, pre)
+        if root:
+            with pytest.raises(AssertionError, match=f"its root is {root}"):
+                check_no_longer_cube(seq, root - 1, runs, pre)
+    assert dropped
 
 
 def _best_first_cases():
