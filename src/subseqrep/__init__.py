@@ -26,7 +26,6 @@ from .lcs import lcs2_all_prefixes, lcs2_witness, lcs3_all_prefixes, lcs3_witnes
 from .lsrs import LsrsResult, lsrs
 from .oracles import (
     BudgetExceededError,
-    OracleBudget,
     oracle_cube_table,
     oracle_lsrs,
     oracle_lsrs_plus,
@@ -56,7 +55,6 @@ __all__ = [
     "LsrsResult",
     "OccurrenceBoundError",
     "OccurrenceIndex",
-    "OracleBudget",
     "Plus3Result",
     "Sequence",
     "SequenceParseError",

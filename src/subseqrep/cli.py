@@ -35,7 +35,6 @@ from .core import (
     validate_srs,
 )
 from .hardness import (
-    InstanceSizeError,
     assignment_from_coloring,
     coloring_to_sat,
     extract_witness,
@@ -134,16 +133,12 @@ def _checked_witness_doc(
         return None
     problems = validate_srs(seq, dec, cover)
     if problems:
-        raise _InternalError("witness validation failed: " + "; ".join(problems))
+        raise AssertionError("witness validation failed: " + "; ".join(problems))
     if expect_length is not None and dec.total_length != expect_length:
-        raise _InternalError(
+        raise AssertionError(
             f"witness length {dec.total_length} != reported length {expect_length}"
         )
     return decomposition_doc(seq, dec)
-
-
-class _InternalError(Exception):
-    pass
 
 
 def _over_guard(n: int, max_n: int) -> bool:
@@ -168,9 +163,9 @@ def analyze_report(seq: Sequence) -> dict:
     and ``lsrs``'s cube rows read; the witnesses build their own.  The
     cube witness validates, which bounds the longest cube from below;
     ``check_no_longer_cube`` bounds it from above with the 3-way values
-    the witness's search ran.  Raises ``_InternalError`` when a witness
-    fails validation or disagrees with its bound, and AssertionError
-    when the cube check fails.
+    the witness's search ran.  Raises AssertionError when a witness
+    fails validation or disagrees with its bound, or when the cube check
+    fails.
     """
     n = seq.n
     pre = [None] * n
@@ -183,7 +178,7 @@ def analyze_report(seq: Sequence) -> dict:
     cu_wit, cu_runs = cube_search(seq, 1, n) if n else (None, {})
     witnesses_ms = _ms_since(t0)
     if cu_wit is not None and [b.exponent for b in cu_wit.blocks] != [3]:
-        raise _InternalError("cube witness is not a single exponent-3 block")
+        raise AssertionError("cube witness is not a single exponent-3 block")
     cu_len = cu_wit.total_length if cu_wit else 0
     t0 = time.perf_counter()
     check_no_longer_cube(seq, cu_len // 3, cu_runs, pre)
@@ -270,6 +265,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    unused = {"sat": "tokens", "string": "dimacs"}[args.target]
+    if args.format == unused:
+        raise _InputError(f"--format {unused} does not apply to --to {args.target}")
+    witness_ok = (args.source, args.target, args.format) == ("coloring", "string", "json")
+    if args.witness and not witness_ok:
+        raise _InputError("--witness needs --from coloring --to string --format json")
     text = _read_text(args.input)
     graph = None
     if args.source == "coloring":
@@ -300,9 +301,6 @@ def cmd_reduce(args) -> int:
         "legend": instance.legend,
     }
     if args.witness:
-        if graph is None:
-            print("--witness requires --from coloring", file=sys.stderr)
-            return EXIT_INPUT
         colors = _parsed(_int_list, _read_text(args.witness))
         assignment = _parsed(assignment_from_coloring, graph, sat, colors)
         if not assignment.valid:
@@ -542,10 +540,10 @@ def main(argv=None) -> int:
     except _OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BudgetExceededError, OccurrenceBoundError, InstanceSizeError) as exc:
+    except (BudgetExceededError, OccurrenceBoundError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (_InternalError, AssertionError, ValueError) as exc:
+    except (AssertionError, ValueError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -15,8 +15,9 @@ A valid assignment yields a full-coverage repeat decomposition of the
 string, which ``extract_witness`` builds explicitly and validates.
 
 Brute-force searches (3-coloring, valid assignment) are provided for
-tiny instances only; no general decision procedure for the produced
-strings is attempted.
+tiny instances only, up to ``SEARCH_LIMIT`` vertices or positive
+clauses; no general decision procedure for the produced strings is
+attempted.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ from .core import (
     sequence_from_tokens,
     validate_srs,
 )
+from .oracles import BudgetExceededError
+
+SEARCH_LIMIT = 15
 
 
 class GraphFormatError(ValueError):
     """Malformed graph description."""
-
-
-class InstanceSizeError(Exception):
-    """Instance too large for a brute-force search."""
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,10 @@ def validate_sat_instance(f: SatInstance) -> list[str]:
             problems.append(f"negative clause {pos} carries index {clause.index}")
         if clause.kind not in (1, 2):
             problems.append(f"negative clause {pos} has kind {clause.kind}")
+        if len(clause.vars) != 2:
+            count = len(clause.vars)
+            problems.append(f"negative clause {pos} holds {count} variables, not 2")
+            continue
         a, b = clause.vars
         if a == b or not (1 <= a <= f.num_vars and 1 <= b <= f.num_vars):
             problems.append(f"negative clause {pos} has bad variables {clause.vars}")
@@ -173,11 +177,11 @@ def check_valid(f: SatInstance, true_vars: frozenset[int]) -> bool:
     return True
 
 
-def brute_force_assignment(f: SatInstance, max_clauses: int = 15) -> Assignment | None:
+def brute_force_assignment(f: SatInstance) -> Assignment | None:
     """First valid assignment in lexicographic choice order, or None."""
-    if len(f.plus_clauses) > max_clauses:
-        raise InstanceSizeError(
-            f"{len(f.plus_clauses)} positive clauses exceed the search guard {max_clauses}"
+    if len(f.plus_clauses) > SEARCH_LIMIT:
+        raise BudgetExceededError(
+            f"{len(f.plus_clauses)} positive clauses exceed the search guard {SEARCH_LIMIT}"
         )
     conflicts: dict[int, list[int]] = {}
     for clause in f.neg_clauses:
@@ -209,11 +213,11 @@ def brute_force_assignment(f: SatInstance, max_clauses: int = 15) -> Assignment 
     return assignment
 
 
-def brute_force_coloring(g: Graph, max_vertices: int = 15) -> list[int] | None:
+def brute_force_coloring(g: Graph) -> list[int] | None:
     """First proper 3-coloring in lexicographic order, or None."""
-    if g.num_vertices > max_vertices:
-        raise InstanceSizeError(
-            f"{g.num_vertices} vertices exceed the search guard {max_vertices}"
+    if g.num_vertices > SEARCH_LIMIT:
+        raise BudgetExceededError(
+            f"{g.num_vertices} vertices exceed the search guard {SEARCH_LIMIT}"
         )
     adjacent: list[list[int]] = [[] for _ in range(g.num_vertices)]
     for u, v in g.edges:

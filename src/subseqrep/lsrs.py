@@ -65,8 +65,8 @@ def lsrs(
     it is.  ``pre`` is the sequence's cut-vector list, as ``square_table``
     fills it (``analyze`` passes the one its cube check reads); the
     targeted cube rows read it, and without it they share one of their
-    own.  The interval witnesses of the traceback take no shared state.  ``threads`` is accepted for compatibility and has no
-    effect.
+    own.  The interval witnesses of the traceback take no shared state.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     n = seq.n
     if pre is None:

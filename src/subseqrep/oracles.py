@@ -5,40 +5,37 @@ interval tables by enumerating every cut with private LCS routines
 (no all-prefix sharing), repeat solvers by enumerating all 2^n
 subsequences and testing partitionability of the letter word.
 
-Budgets are enforced before any exponential search starts.
+Each oracle has a fixed length limit (``SQUARE_N``, ``CUBE_N``,
+``LSRS_N``, ``LSRS_PLUS_N``) and all share ``MAX_ALPHABET``; an input
+past a limit raises ``BudgetExceededError`` before any exponential
+search starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import Sequence, srs_partitionable
 from .tables import IntervalTable
 
 
+SQUARE_N = 16
+CUBE_N = 14
+LSRS_N = 16
+LSRS_PLUS_N = 14
+MAX_ALPHABET = 16
+
+
 class BudgetExceededError(Exception):
-    """Input exceeds the configured brute-force budget."""
+    """Input too large for a brute-force search."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    square_n: int = 16
-    cube_n: int = 14
-    lsrs_n: int = 16
-    lsrs_plus_n: int = 14
-    max_alphabet: int = 16
-
-
-DEFAULT_BUDGET = OracleBudget()
-
-
-def _enforce(seq: Sequence, max_n: int, budget: OracleBudget, what: str) -> None:
+def _enforce(seq: Sequence, max_n: int, what: str) -> None:
     if seq.n > max_n:
         raise BudgetExceededError(f"{what}: length {seq.n} exceeds budget {max_n}")
-    if seq.alphabet_size > budget.max_alphabet:
+    if seq.alphabet_size > MAX_ALPHABET:
         raise BudgetExceededError(
-            f"{what}: alphabet size {seq.alphabet_size} exceeds budget {budget.max_alphabet}"
+            f"{what}: alphabet size {seq.alphabet_size} exceeds budget {MAX_ALPHABET}"
         )
 
 
@@ -69,9 +66,9 @@ def _lcs3_len(a, b, c) -> int:
     return t[na][nb][nc]
 
 
-def oracle_square_table(seq: Sequence, budget: OracleBudget = DEFAULT_BUDGET) -> IntervalTable:
+def oracle_square_table(seq: Sequence) -> IntervalTable:
     """Per interval: maximize 2*LCS over every single cut."""
-    _enforce(seq, budget.square_n, budget, "square oracle")
+    _enforce(seq, SQUARE_N, "square oracle")
     letters = seq.letters
     n = seq.n
     table = IntervalTable(n, "square")
@@ -86,9 +83,9 @@ def oracle_square_table(seq: Sequence, budget: OracleBudget = DEFAULT_BUDGET) ->
     return table
 
 
-def oracle_cube_table(seq: Sequence, budget: OracleBudget = DEFAULT_BUDGET) -> IntervalTable:
+def oracle_cube_table(seq: Sequence) -> IntervalTable:
     """Per interval: maximize 3*LCS over every cut pair."""
-    _enforce(seq, budget.cube_n, budget, "cube oracle")
+    _enforce(seq, CUBE_N, "cube oracle")
     letters = seq.letters
     n = seq.n
     table = IntervalTable(n, "cube")
@@ -126,9 +123,9 @@ def _normalized_subsequence(letters: tuple[int, ...], mask: int, n: int) -> tupl
     return tuple(out)
 
 
-def oracle_lsrs(seq: Sequence, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def oracle_lsrs(seq: Sequence) -> int:
     """Longest subsequence whose letter word splits into powers (exponent >= 2)."""
-    _enforce(seq, budget.lsrs_n, budget, "lsrs oracle")
+    _enforce(seq, LSRS_N, "lsrs oracle")
     letters = seq.letters
     n = seq.n
     best = 0
@@ -141,12 +138,12 @@ def oracle_lsrs(seq: Sequence, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     return best
 
 
-def oracle_lsrs_plus(seq: Sequence, budget: OracleBudget = DEFAULT_BUDGET) -> int | None:
+def oracle_lsrs_plus(seq: Sequence) -> int | None:
     """Same search restricted to subsequences covering the whole alphabet.
 
     Returns the optimum length, or None when no subsequence qualifies.
     """
-    _enforce(seq, budget.lsrs_plus_n, budget, "lsrs+ oracle")
+    _enforce(seq, LSRS_PLUS_N, "lsrs+ oracle")
     letters = seq.letters
     n = seq.n
     full = frozenset(letters)

@@ -277,6 +277,24 @@ def test_analyze_catches_a_cube_witness_one_root_short(tmp_path, capsys, monkeyp
         assert err.startswith("internal invariant failure") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ("--from", "coloring", "--to", "string", "--format", "dimacs"),
+        ("--from", "coloring", "--to", "sat", "--format", "tokens"),
+        ("--from", "coloring", "--to", "sat", "--witness", "colors.txt"),
+        ("--from", "coloring", "--to", "sat", "--format", "dimacs", "--witness", "c.txt"),
+        ("--from", "coloring", "--to", "string", "--format", "tokens", "--witness", "c.txt"),
+        ("--from", "sat", "--to", "string", "--witness", "colors.txt"),
+    ],
+)
+def test_reduce_rejects_options_it_would_ignore(capsys, monkeypatch, options):
+    monkeypatch.setattr("subseqrep.cli._read_text", _never_run)
+    code, out, err = run_cli(capsys, "reduce", *options, "-")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
 def test_reduce_rejects_empty_formula(tmp_path, capsys):
     path = write(tmp_path, "empty.graph", "0 0\n")
     code, _, err = run_cli(capsys, "reduce", "--from", "coloring", "--to", "string", path)
@@ -458,6 +476,20 @@ def test_parse_errors_are_input_errors(tmp_path, capsys):
             code, out, err = run_cli(capsys, "reduce", "--from", "sat", "--to", *target, bad)
             assert code == 2 and out == "", (clause, target)
             assert err.startswith("input error") and "not 3" in err, (clause, target)
+
+    # and a negative clause exactly 2
+    for clause in ([1], [1, 2, 3]):
+        neg = {"index": 1, "type": 1, "vars": clause}
+        doc = {"num_vars": 3, "plus_clauses": [[1, 2, 3]], "neg_clauses": [neg]}
+        bad = write(tmp_path, "bad.sat.json", json.dumps(doc))
+        message = (
+            "input error: bad SAT instance: "
+            f"negative clause 1 holds {len(clause)} variables, not 2\n"
+        )
+        for target in (["string"], ["sat", "--format", "dimacs"]):
+            code, out, err = run_cli(capsys, "reduce", "--from", "sat", "--to", *target, bad)
+            assert code == 2 and out == "", (clause, target)
+            assert err == message, (clause, target)
 
     graph = write(tmp_path, "k3.graph", K3_GRAPH)
     for text in ("1 x 3\n", "1 2\n", "1 2 7\n"):

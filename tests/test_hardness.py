@@ -8,7 +8,6 @@ from subseqrep.hardness import (
     Assignment,
     Graph,
     GraphFormatError,
-    InstanceSizeError,
     assignment_from_coloring,
     brute_force_assignment,
     brute_force_coloring,
@@ -25,6 +24,7 @@ from subseqrep.hardness import (
     var_id,
 )
 from subseqrep.core import validate_srs
+from subseqrep.oracles import BudgetExceededError
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 K4 = Graph(4, tuple(itertools.combinations(range(4), 2)))
@@ -159,10 +159,13 @@ def test_brute_force_assignment():
 
 
 def test_brute_force_guards():
+    edgeless = Graph(15, ())
+    assert brute_force_coloring(edgeless) == [1] * 15
+    assert brute_force_assignment(coloring_to_sat(edgeless)) is not None
     big = complete_graph(16)
-    with pytest.raises(InstanceSizeError):
+    with pytest.raises(BudgetExceededError):
         brute_force_coloring(big)
-    with pytest.raises(InstanceSizeError):
+    with pytest.raises(BudgetExceededError):
         brute_force_assignment(coloring_to_sat(big))
 
 
@@ -246,4 +249,10 @@ def test_sat_json_round_trip():
     for clause in ([1, 2], [1, 2, 3, 4]):
         doc = {"num_vars": len(clause), "plus_clauses": [clause], "neg_clauses": []}
         with pytest.raises(ValueError, match=f"holds {len(clause)} variables, not 3"):
+            sat_from_json_doc(doc)
+    for clause in ([1], [1, 2, 3]):
+        neg = {"index": 1, "type": 1, "vars": clause}
+        doc = {"num_vars": 3, "plus_clauses": [[1, 2, 3]], "neg_clauses": [neg]}
+        message = f"negative clause 1 holds {len(clause)} variables, not 2"
+        with pytest.raises(ValueError, match=message):
             sat_from_json_doc(doc)

@@ -5,7 +5,6 @@ import pytest
 from subseqrep.core import parse_sequence, srs_partitionable
 from subseqrep.oracles import (
     BudgetExceededError,
-    OracleBudget,
     oracle_cube_table,
     oracle_lsrs,
     oracle_lsrs_plus,
@@ -56,9 +55,22 @@ def test_budget_guards():
     wide = parse_sequence("abcdefghijklmnopq"[:17], "raw")
     with pytest.raises(BudgetExceededError):
         oracle_square_table(wide)
-    tight = OracleBudget(square_n=4)
-    with pytest.raises(BudgetExceededError):
-        oracle_square_table(parse_sequence("aaaaa"), tight)
+
+
+def test_oracles_run_at_their_limits():
+    # each length limit from both sides; test_budget_guards refuses 17 letters
+    for oracle, limit, value in (
+        (lambda s: oracle_square_table(s).get(1, s.n), 16, 16),
+        (lambda s: oracle_cube_table(s).get(1, s.n), 14, 12),
+        (oracle_lsrs, 16, 16),
+        (oracle_lsrs_plus, 14, 14),
+    ):
+        assert oracle(parse_sequence("a" * limit)) == value, limit
+        with pytest.raises(BudgetExceededError):
+            oracle(parse_sequence("a" * (limit + 1)))
+    wide = parse_sequence("abcdefghijklmnop", "raw")
+    assert wide.alphabet_size == 16
+    assert oracle_square_table(wide).get(1, 16) == 0
 
 
 def test_cross_oracle_invariants():
