@@ -6,12 +6,20 @@ oracle (brute-force reference values), bench (timing + fitted scaling
 slope).  All reports are JSON documents on stdout; timings live in one
 subtree so the rest is byte-stable across runs.
 
-Exit codes: 0 ok, 2 input error, 3 budget or guard exceeded,
-4 internal invariant failure, 130 interrupted (Ctrl-C), 141 stdout
-closed by its reader (broken pipe).  Exit 2 covers errors raised while
-reading and parsing input, and a report that cannot be written to its
-``-o`` file ("output error: ..." on stderr); any other ValueError is
-internal.
+Commands raise on failure and return nothing; ``main`` alone writes
+the one stderr line and picks the exit code:
+
+- 0 ok;
+- 2 "input error: ..." (reading or parsing input, a rejected option
+  value) or "output error: ..." (the ``-o`` file cannot be written);
+- 3 "budget exceeded: ..." (an oracle's limit, or an input longer than
+  ``--max-n``: "budget exceeded: sequence length N exceeds --max-n M");
+- 4 "internal invariant failure: ..." (a failed check, or any other
+  ValueError);
+- 130 "interrupted" (Ctrl-C);
+- 141 nothing (stdout closed by its reader, a broken pipe).
+
+Options argparse itself rejects exit 2 with its usage message.
 """
 
 from __future__ import annotations
@@ -141,19 +149,15 @@ def _checked_witness_doc(
     return decomposition_doc(seq, dec)
 
 
-def _over_guard(n: int, max_n: int) -> bool:
+def _check_max_n(n: int, max_n: int) -> None:
     if n > max_n:
-        print(f"sequence length {n} exceeds --max-n {max_n}", file=sys.stderr)
-        return True
-    return False
+        raise BudgetExceededError(f"sequence length {n} exceeds --max-n {max_n}")
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     seq = read_sequence(args.input, args.tokens)
-    if _over_guard(seq.n, args.max_n):
-        return EXIT_BUDGET
+    _check_max_n(seq.n, args.max_n)
     _emit(args, analyze_report(seq))
-    return EXIT_OK
 
 
 def analyze_report(seq: Sequence) -> dict:
@@ -231,23 +235,21 @@ def _ms_since(t0: float) -> float:
     return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> None:
     seq = read_sequence(args.input, args.tokens)
-    if _over_guard(seq.n, args.max_n):
-        return EXIT_BUDGET
+    _check_max_n(seq.n, args.max_n)
     table = (square_table if args.which == "q2" else cube_table)(seq)
     if args.format == "csv":
         lines = []
         for i in range(1, seq.n + 1):
             row = [""] * (i - 1) + [str(v) for v in table.rows[i - 1]]
-            lines.append(",".join(row))
-        _emit_text(args, "\n".join(lines) + "\n")
+            lines.append(",".join(row) + "\n")
+        _emit_text(args, "".join(lines))
     else:
         _emit(args, {"which": args.which, "n": seq.n, "rows": table.rows})
-    return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> None:
     seq = read_sequence(args.input, args.tokens)
     if args.kind == "q2":
         table = oracle_square_table(seq)
@@ -261,10 +263,9 @@ def cmd_oracle(args) -> int:
         got = oracle_lsrs_plus(seq)
         value = "infeasible" if got is None else got
     _emit(args, {"kind": args.kind, "value": value})
-    return EXIT_OK
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> None:
     unused = {"sat": "tokens", "string": "dimacs"}[args.target]
     if args.format == unused:
         raise _InputError(f"--format {unused} does not apply to --to {args.target}")
@@ -284,14 +285,14 @@ def cmd_reduce(args) -> int:
             _emit_text(args, to_dimacs(sat))
         else:
             _emit(args, sat_to_json_doc(sat))
-        return EXIT_OK
+        return
 
     if not sat.plus_clauses:
         raise _InputError("cannot build an instance for an empty formula")
     instance = sat_to_string(sat)
     if args.format == "tokens":
         _emit_text(args, instance.seq.render(" ") + "\n")
-        return EXIT_OK
+        return
     doc = {
         "tokens": instance.seq.render(" "),
         "length": instance.seq.n,
@@ -304,15 +305,13 @@ def cmd_reduce(args) -> int:
         colors = _parsed(_int_list, _read_text(args.witness))
         assignment = _parsed(assignment_from_coloring, graph, sat, colors)
         if not assignment.valid:
-            print("coloring does not induce a valid assignment", file=sys.stderr)
-            return EXIT_INPUT
+            raise _InputError("coloring does not induce a valid assignment")
         dec = extract_witness(sat, assignment, instance)
         doc["witness"] = _checked_witness_doc(
             instance.seq, dec, frozenset(range(instance.seq.alphabet_size))
         )
         doc["witness"]["validation"] = "ok"
     _emit(args, doc)
-    return EXIT_OK
 
 
 def _bench_input(alg: str, n: int, seed: int) -> Sequence:
@@ -350,18 +349,15 @@ def fitted_slope(points: list[tuple[int, float]]) -> float:
     return num / den
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     import statistics  # here, not at the top: analyze never needs it
 
     sizes = _parsed(_int_list, args.sizes, ",")
     if len(set(sizes)) < 2:
-        print("need at least two distinct sizes", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError("need at least two distinct sizes")
     if min(sizes) < 1:
-        print(f"sizes must be at least 1, got {min(sizes)}", file=sys.stderr)
-        return EXIT_INPUT
-    if _over_guard(max(sizes), args.max_n):
-        return EXIT_BUDGET
+        raise _InputError(f"sizes must be at least 1, got {min(sizes)}")
+    _check_max_n(max(sizes), args.max_n)
     rows = []
     points = []
     for n in sizes:
@@ -394,7 +390,6 @@ def cmd_bench(args) -> int:
             "slope": round(fitted_slope(points), 3),
         },
     )
-    return EXIT_OK
 
 
 def _available_cpus() -> int:
@@ -525,7 +520,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
@@ -546,6 +541,7 @@ def main(argv=None) -> int:
     except (AssertionError, ValueError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

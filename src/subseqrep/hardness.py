@@ -189,7 +189,6 @@ def brute_force_assignment(f: SatInstance) -> Assignment | None:
         conflicts.setdefault(a, []).append(b)
         conflicts.setdefault(b, []).append(a)
 
-    chosen: list[int] = []
     true_set: set[int] = set()
 
     def walk(pos: int) -> bool:
@@ -197,12 +196,10 @@ def brute_force_assignment(f: SatInstance) -> Assignment | None:
             return True
         for v in f.plus_clauses[pos]:
             if all(w not in true_set for w in conflicts.get(v, ())):
-                chosen.append(v)
                 true_set.add(v)
                 if walk(pos + 1):
                     return True
                 true_set.discard(v)
-                chosen.pop()
         return False
 
     if not walk(0):
@@ -282,8 +279,6 @@ def sat_to_string(f: SatInstance) -> ReductionInstance:
     if not f.plus_clauses:
         raise ValueError("cannot build an instance for an empty formula")
     lists = _neg_lists(f)
-    n = len(f.plus_clauses)
-    m = len(f.neg_clauses)
 
     tokens: list[str] = []
     legend: dict[str, dict] = {}

@@ -27,7 +27,8 @@ MAX_ALPHABET = 16
 
 
 class BudgetExceededError(Exception):
-    """Input too large for a brute-force search."""
+    """Input too large for a brute-force search or for the CLI's ``--max-n``
+    guard; the CLI exits 3 with one ``budget exceeded: ...`` line."""
 
 
 def _enforce(seq: Sequence, max_n: int, what: str) -> None:

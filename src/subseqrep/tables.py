@@ -104,9 +104,6 @@ class IntervalTable:
             raise IndexError(f"interval ({i},{j}) outside 1..{self.n}")
         self.rows[i - 1][j - i] = value
 
-    def __getitem__(self, ij):
-        return self.get(*ij)
-
     def cells(self):
         for i in range(1, self.n + 1):
             row = self.rows[i - 1]

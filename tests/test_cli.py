@@ -125,6 +125,10 @@ def test_tables_csv(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "tables", "--which", "q2", "--format", "csv", path)
     assert code == 0
     assert out.splitlines() == ["0,2", ",0"]
+    empty = write(tmp_path, "empty.txt", "")
+    code, out, _ = run_cli(capsys, "tables", "--which", "q2", "--format", "csv", empty)
+    assert code == 0
+    assert out == ""
 
 
 def test_oracle_command(tmp_path, capsys):
@@ -452,6 +456,37 @@ def test_bad_bench_sizes_exit_2_before_any_run(capsys, monkeypatch, sizes, messa
 
 def _never_run(*args, **kwargs):
     raise AssertionError("a command ran despite a rejected argument")
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, prefix",
+    [
+        (["analyze", "SEQ", "--max-n", "3"], 3, "budget exceeded: "),
+        (["tables", "--which", "q2", "SEQ", "--max-n", "3"], 3, "budget exceeded: "),
+        (["bench", "--alg", "q2", "--sizes", "4,9", "--max-n", "3"], 3, "budget exceeded: "),
+        (["bench", "--alg", "q2", "--sizes=4"], 2, "input error: "),
+        (["bench", "--alg", "q2", "--sizes=0,4"], 2, "input error: "),
+        (
+            ["reduce", "--from", "coloring", "--to", "string", "--witness", "COLORS", "K3"],
+            2,
+            "input error: ",
+        ),
+    ],
+    ids=["analyze-max-n", "tables-max-n", "bench-max-n", "bench-one-size", "bench-size-0",
+         "reduce-improper-coloring"],
+)
+def test_every_failure_is_one_prefixed_line(
+    tmp_path, capsys, monkeypatch, argv, want_code, prefix
+):
+    monkeypatch.setattr("subseqrep.cli._bench_once", _never_run)
+    files = {
+        "SEQ": write(tmp_path, "seq.txt", "abcabcabc\n"),
+        "K3": write(tmp_path, "k3.graph", K3_GRAPH),
+        "COLORS": write(tmp_path, "improper.txt", "1 1 2\n"),
+    }
+    code, out, err = run_cli(capsys, *[files.get(arg, arg) for arg in argv])
+    assert code == want_code and out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 def test_fitted_slope():
