@@ -32,7 +32,6 @@ from .oracles import (
     oracle_square_table,
 )
 from .plus3 import (
-    CoverageTables,
     FeasibilityTables,
     OccurrenceBoundError,
     Plus3Result,
@@ -49,7 +48,6 @@ from .tables import IntervalTable, cube_table, cube_witness, square_table, squar
 __all__ = [
     "Block",
     "BudgetExceededError",
-    "CoverageTables",
     "FeasibilityTables",
     "IntervalTable",
     "LsrsResult",

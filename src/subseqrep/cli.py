@@ -10,8 +10,9 @@ Commands raise on failure and return nothing; ``main`` alone writes
 the one stderr line and picks the exit code:
 
 - 0 ok;
-- 2 "input error: ..." (reading or parsing input, a rejected option
-  value) or "output error: ..." (the ``-o`` file cannot be written);
+- 2 "input error: ..." (reading or parsing input, input that is not
+  UTF-8, a rejected option value) or "output error: ..." (the ``-o``
+  file cannot be written);
 - 3 "budget exceeded: ..." (an oracle's limit, or an input longer than
   ``--max-n``: "budget exceeded: sequence length N exceeds --max-n M");
 - 4 "internal invariant failure: ..." (a failed check, or any other
@@ -98,10 +99,21 @@ def _int_list(text: str, sep: str | None = None) -> list[int]:
 
 
 def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The input as UTF-8 text; undecodable bytes are an input error.
+
+    Stdin under a C locale reads them as lone surrogates
+    (``errors="surrogateescape"``), which fail to re-encode.
+    """
+    try:
+        if path is None or path == "-":
+            text = sys.stdin.read()
+            text.encode("utf-8")
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeError as exc:
+        raise _InputError(f"input is not valid UTF-8: {exc}") from exc
+    return text
 
 
 def read_sequence(path: str | None, tokens: bool) -> Sequence:

@@ -455,19 +455,29 @@ def sat_to_json_doc(f: SatInstance) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer; floats, strings and booleans are rejected."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def sat_from_json_doc(doc: dict) -> SatInstance:
     try:
-        plus = tuple(tuple(int(v) for v in c) for c in doc["plus_clauses"])
+        plus = tuple(
+            tuple(_json_int(v, "plus_clauses variable") for v in c)
+            for c in doc["plus_clauses"]
+        )
         negs = tuple(
             NegClause(
-                int(c["index"]),
-                int(c["type"]),
-                tuple(int(v) for v in c["vars"]),
+                _json_int(c["index"], "neg_clauses index"),
+                _json_int(c["type"], "neg_clauses type"),
+                tuple(_json_int(v, "neg_clauses variable") for v in c["vars"]),
                 tuple(c.get("provenance") or ()),
             )
             for c in doc["neg_clauses"]
         )
-        f = SatInstance(int(doc["num_vars"]), plus, negs)
+        f = SatInstance(_json_int(doc["num_vars"], "num_vars"), plus, negs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed SAT document: {exc}") from exc
     problems = validate_sat_instance(f)

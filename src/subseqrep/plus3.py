@@ -2,17 +2,18 @@
 
 With every letter appearing 2 or 3 times, any solution block is a square
 or a cube, and the letters a local solution must cover are pinned down
-by per-interval occurrence counts:
+by per-interval occurrence counts, each kept as a bitmask whose bit a
+stands for letter id a (``coverage_tables``):
 
   cover[i,j]        letters occurring >= 2 times in S[i..j]
-  cover2[i,j]       == cover[i,j] when some letter occurs exactly twice, else {}
-  cover3[i,j]       letters occurring exactly 3 times when none occurs twice, else {}
+  cover2[i,j]       == cover[i,j] when some letter occurs exactly twice, else 0
+  cover3[i,j]       letters occurring exactly 3 times when none occurs twice, else 0
 
 A square inside [i, j] can use each covered letter at most once per
-half, so a covering square has length exactly 2*|set| and existence
-reduces to comparing the unconstrained square table entry against that
-bound.  A covering cube is unique when it exists: the subsequence of
-cover3-letters split into equal thirds.
+half, so a covering square has length exactly 2*|set| (twice the mask's
+bit count) and existence reduces to comparing the unconstrained square
+table entry against that bound.  A covering cube is unique when it
+exists: the subsequence of cover3-letters split into equal thirds.
 
 Interval lengths L[i,j] (-1 = infeasible) start from those local
 solutions and combine bottom-up over splits whose two sides are both
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import (
     Block,
@@ -44,6 +44,10 @@ from .core import (
 from .tables import IntervalTable, square_table, square_witness
 
 
+# cover / cover2 / cover3 bitmask rows, ``masks[t][i - 1][j - i]``
+_Masks = tuple[list[list[int]], list[list[int]], list[list[int]]]
+
+
 class OccurrenceBoundError(Exception):
     """Some letter occurs more than 3 times.
 
@@ -51,30 +55,6 @@ class OccurrenceBoundError(Exception):
     this solver only handles the bound-3 case.  Use the hardness module
     to build such instances, or the brute-force oracles on tiny ones.
     """
-
-
-@dataclass(frozen=True)
-class CoverageTables:
-    """cover / cover2 / cover3 as bitmask rows: ``masks[t][i - 1][j - i]``.
-
-    Bit ``a`` stands for letter id ``a``.  The solver reads the masks; the
-    set-valued ``cover``, ``cover2`` and ``cover3`` tables are built on
-    first use.
-    """
-
-    masks: tuple[list[list[int]], list[list[int]], list[list[int]]]
-
-    @cached_property
-    def cover(self) -> IntervalTable:
-        return _set_table("cover", self.masks[0])
-
-    @cached_property
-    def cover2(self) -> IntervalTable:
-        return _set_table("cover-twice", self.masks[1])
-
-    @cached_property
-    def cover3(self) -> IntervalTable:
-        return _set_table("cover-thrice", self.masks[2])
 
 
 @dataclass(frozen=True)
@@ -108,11 +88,13 @@ def _check_bound(d: int) -> None:
         )
 
 
-def _cover_masks(seq: Sequence) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Bitmask rows (letter id = bit) for cover / cover2 / cover3 per interval.
+def coverage_tables(seq: Sequence) -> _Masks:
+    """cover / cover2 / cover3 for every interval as bitmask rows, O(n^2) ints.
 
-    Raises ``OccurrenceBoundError`` as ``precheck`` does, from the letter
-    counts of the first row (the whole sequence), before the other rows.
+    Returns ``(cover, cover2, cover3)`` with ``masks[t][i - 1][j - i]`` the
+    mask of interval [i, j]; bit ``a`` stands for letter id ``a``.  Raises
+    ``OccurrenceBoundError`` as ``precheck`` does, from the letter counts of
+    the first row (the whole sequence), before the other rows.
     """
     n = seq.n
     letters = seq.letters
@@ -152,32 +134,7 @@ def _cover_masks(seq: Sequence) -> tuple[list[list[int]], list[list[int]], list[
     return rows_c, rows_c2, rows_c3
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    a = 0
-    while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
-    return frozenset(out)
-
-
-def _set_table(kind: str, rows: list[list[int]]) -> IntervalTable:
-    table = IntervalTable(len(rows), kind, frozenset())
-    table.rows = [[_mask_to_set(m) for m in row] for row in rows]
-    return table
-
-
-def coverage_tables(seq: Sequence) -> CoverageTables:
-    """Coverage tables for every interval; O(n^2) masks, O(n^3) as sets.
-
-    Rejects a letter beyond 3 with ``OccurrenceBoundError``, like ``precheck``.
-    """
-    return CoverageTables(_cover_masks(seq))
-
-
-def s3_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalTable:
+def s3_table(seq: Sequence, cov: _Masks, q2: IntervalTable) -> IntervalTable:
     """Best covering cube (or square fallback) per interval, -1 when none.
 
     Entries are 3*|cover3| for the unique covering cube, else 2*|cover3|
@@ -186,7 +143,7 @@ def s3_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalT
     """
     letters = seq.letters
     table = IntervalTable(seq.n, "covered-cube", -1)
-    for i, (row_c3, row_q2, row) in enumerate(zip(cov.masks[2], q2.rows, table.rows)):
+    for i, (row_c3, row_q2, row) in enumerate(zip(cov[2], q2.rows, table.rows)):
         for d, want in enumerate(row_c3):
             if not want:
                 continue
@@ -201,10 +158,10 @@ def s3_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalT
     return table
 
 
-def s2_table(seq: Sequence, cov: CoverageTables, q2: IntervalTable) -> IntervalTable:
+def s2_table(seq: Sequence, cov: _Masks, q2: IntervalTable) -> IntervalTable:
     """Best covering square per interval, -1 when none (same length test)."""
     table = IntervalTable(seq.n, "covered-square", -1)
-    for row_c2, row_q2, row in zip(cov.masks[1], q2.rows, table.rows):
+    for row_c2, row_q2, row in zip(cov[1], q2.rows, table.rows):
         for d, (want, best) in enumerate(zip(row_c2, row_q2)):
             if want and best == 2 * want.bit_count():
                 row[d] = best
@@ -221,7 +178,7 @@ def feasibility_tables(
         q2 = square_table(seq)
     s3 = s3_table(seq, cov, q2)
     s2 = s2_table(seq, cov, q2)
-    rows_c, _, rows_c3 = cov.masks
+    rows_c, _, rows_c3 = cov
 
     length = IntervalTable(n, "feasible-length", -1)
     rows_l = length.rows
@@ -309,7 +266,7 @@ def lsrs_plus3(seq: Sequence, q2: IntervalTable | None = None) -> Plus3Result:
     if index.singletons():
         return Plus3Result(False, -1, None)
     tabs = feasibility_tables(seq, q2=q2)
-    best = tabs.length.get(1, n) if n >= 2 else -1
+    best = tabs.length.get(1, n)
     if best <= 0:
         return Plus3Result(False, -1, None)
     blocks = _rebuild(seq, tabs, 1, n)

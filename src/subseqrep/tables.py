@@ -79,7 +79,6 @@ from .lcs import (
 )
 
 INT_KINDS = ("square", "cube", "covered-square", "covered-cube", "feasible-length")
-SET_KINDS = ("cover", "cover-twice", "cover-thrice")
 
 
 class IntervalTable:
@@ -88,7 +87,7 @@ class IntervalTable:
     __slots__ = ("n", "kind", "rows")
 
     def __init__(self, n: int, kind: str, fill=0):
-        if kind not in INT_KINDS and kind not in SET_KINDS:
+        if kind not in INT_KINDS:
             raise ValueError(f"unknown table kind {kind!r}")
         self.n = n
         self.kind = kind

@@ -288,17 +288,17 @@ def test_criterion_4_invariant_suites():
         tabs = feasibility_tables(s)
         for i in range(1, s.n + 1):
             for j in range(i, s.n + 1):
-                c2 = cov.cover2.get(i, j)
-                c3 = cov.cover3.get(i, j)
+                c2 = cov[1][i - 1][j - i]
+                c3 = cov[2][i - 1][j - i]
                 if c2 & c3:
                     failures.append(f"cover2/cover3 overlap at ({i},{j}) on {text!r}")
                     return
                 v3 = tabs.s3.get(i, j)
-                if v3 not in (-1, 2 * len(c3), 3 * len(c3)):
+                if v3 not in (-1, 2 * c3.bit_count(), 3 * c3.bit_count()):
                     failures.append(f"covered-cube range at ({i},{j}) on {text!r}")
                     return
                 v2 = tabs.s2.get(i, j)
-                if v2 not in (-1, 2 * len(c2)):
+                if v2 not in (-1, 2 * c2.bit_count()):
                     failures.append(f"covered-square range at ({i},{j}) on {text!r}")
                     return
                 lv = tabs.length.get(i, j)

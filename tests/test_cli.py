@@ -92,6 +92,21 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_undecodable_input_is_an_input_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "seq.bin"
+    path.write_bytes(b"AC\xffGT")
+    for argv in (["analyze", str(path)], ["reduce", "--from", "sat", "--to", "string", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("input error: input is not valid UTF-8"), argv
+    # stdin under a C locale keeps the byte as a lone surrogate
+    stdin = io.TextIOWrapper(io.BytesIO(b"AC\xffGT"), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(capsys, "analyze", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: input is not valid UTF-8")
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(tmp_path / "nope.txt"))
     assert code == 2
@@ -525,6 +540,23 @@ def test_parse_errors_are_input_errors(tmp_path, capsys):
             code, out, err = run_cli(capsys, "reduce", "--from", "sat", "--to", *target, bad)
             assert code == 2 and out == "", (clause, target)
             assert err == message, (clause, target)
+
+    # numbers must be JSON integers: no float, string or boolean is coerced
+    neg = {"index": 1, "type": 1, "vars": [1, 2]}
+    valid = {"num_vars": 3, "plus_clauses": [[1, 2, 3]], "neg_clauses": [neg]}
+    for field, doc in (
+        ("plus_clauses variable", {**valid, "plus_clauses": [[1.9, 2, 3]]}),
+        ("plus_clauses variable", {**valid, "plus_clauses": [[1, "2", 3]]}),
+        ("num_vars", {**valid, "num_vars": 3.5}),
+        ("neg_clauses index", {**valid, "neg_clauses": [{**neg, "index": 1.0}]}),
+        ("neg_clauses type", {**valid, "neg_clauses": [{**neg, "type": True}]}),
+    ):
+        bad = write(tmp_path, "bad.sat.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, "reduce", "--from", "sat", "--to", "string", bad)
+        assert code == 2 and out == "", doc
+        assert err.startswith("input error: ") and f"{field} must be an integer" in err, doc
+    good = write(tmp_path, "good.sat.json", json.dumps(valid))
+    assert run_cli(capsys, "reduce", "--from", "sat", "--to", "string", good)[0] == 0
 
     graph = write(tmp_path, "k3.graph", K3_GRAPH)
     for text in ("1 x 3\n", "1 2\n", "1 2 7\n"):

@@ -1,6 +1,9 @@
 import random
+import types
 
 import pytest
+
+import subseqrep
 
 from subseqrep.core import (
     Block,
@@ -278,3 +281,19 @@ def test_srs_partitionable_random_three_letters():
     for _ in range(300):
         word = random_string(rng, 10, sigma=3)
         assert srs_partitionable(word) == brute_partitionable(word), word
+
+
+def test_public_surface_imports():
+    for name in subseqrep.__all__:
+        assert getattr(subseqrep, name) is not None, name
+    namespace: dict = {}
+    exec("from subseqrep import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(subseqrep.__all__)
+    # every public name the package imports is listed, and only once
+    public = {
+        name
+        for name, value in vars(subseqrep).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(subseqrep.__all__)
+    assert len(subseqrep.__all__) == len(set(subseqrep.__all__))

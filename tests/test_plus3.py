@@ -31,39 +31,41 @@ def test_precheck_examples():
         precheck(parse_sequence("aaaab"))
 
 
+def _mask(letter_ids):
+    """The coverage mask of some letter ids: bit ``a`` set for each letter ``a``."""
+    return sum(1 << a for a in set(letter_ids))
+
+
 def test_coverage_example():
-    cov = coverage_tables(parse_sequence("baabab"))
+    cover, cover2, cover3 = coverage_tables(parse_sequence("baabab"))
     b, a = 0, 1  # interned in first-appearance order
-    assert cov.cover3.get(1, 6) == frozenset({a, b})
-    assert cov.cover2.get(1, 6) == frozenset()
-    assert cov.cover.get(1, 6) == frozenset({a, b})
+    assert cover3[0][5] == _mask({a, b}) == 0b11
+    assert cover2[0][5] == 0
+    assert cover[0][5] == _mask({a, b})
 
 
 def test_coverage_diagonal_empty():
     s = parse_sequence("abcabc")
     cov = coverage_tables(s)
-    for i in range(1, s.n + 1):
-        assert cov.cover.get(i, i) == frozenset()
-        assert cov.cover2.get(i, i) == frozenset()
-        assert cov.cover3.get(i, i) == frozenset()
+    for rows in cov:
+        assert [len(row) for row in rows] == list(range(s.n, 0, -1))
+        assert all(row[0] == 0 for row in rows)
 
 
 def test_coverage_matches_direct_counts():
     rng = random.Random(41)
     for _ in range(50):
         s = parse_sequence(random_bound3_string(rng, 12))
-        cov = coverage_tables(s)
+        cover, cover2, cover3 = coverage_tables(s)
         for i in range(1, s.n + 1):
             for j in range(i, s.n + 1):
                 counts = Counter(s.letters[i - 1 : j])
-                at_least_two = frozenset(a for a, c in counts.items() if c >= 2)
+                at_least_two = _mask(a for a, c in counts.items() if c >= 2)
                 exactly_two = any(c == 2 for c in counts.values())
-                exactly_three = frozenset(a for a, c in counts.items() if c == 3)
-                assert cov.cover.get(i, j) == at_least_two
-                assert cov.cover2.get(i, j) == (at_least_two if exactly_two else frozenset())
-                assert cov.cover3.get(i, j) == (
-                    exactly_three if not exactly_two else frozenset()
-                )
+                exactly_three = _mask(a for a, c in counts.items() if c == 3)
+                assert cover[i - 1][j - i] == at_least_two
+                assert cover2[i - 1][j - i] == (at_least_two if exactly_two else 0)
+                assert cover3[i - 1][j - i] == (exactly_three if not exactly_two else 0)
 
 
 def test_lemma_disjointness_and_value_ranges():
@@ -76,12 +78,14 @@ def test_lemma_disjointness_and_value_ranges():
         s2 = s2_table(s, cov, q2)
         for i in range(1, s.n + 1):
             for j in range(i, s.n + 1):
-                assert cov.cover2.get(i, j) & cov.cover3.get(i, j) == frozenset()
+                c2 = cov[1][i - 1][j - i]
+                c3 = cov[2][i - 1][j - i]
+                assert c2 & c3 == 0
                 v3 = s3.get(i, j)
-                size3 = len(cov.cover3.get(i, j))
+                size3 = c3.bit_count()
                 assert v3 in (-1, 2 * size3, 3 * size3)
                 v2 = s2.get(i, j)
-                size2 = len(cov.cover2.get(i, j))
+                size2 = c2.bit_count()
                 assert v2 in (-1, 2 * size2)
 
 
@@ -101,14 +105,14 @@ def test_s_table_worked_examples():
     # aabb has no square covering {a, b}: its longest square is aa (or bb)
     d = parse_sequence("aabb")
     assert s2_table(d, coverage_tables(d), square_table(d)).get(1, 4) == -1
-    assert _brute_covering_square(d, 1, 4, {0, 1}) == -1
+    assert _brute_covering_square(d, 1, 4, _mask({0, 1})) == -1
 
     e = parse_sequence("abab")
     assert s2_table(e, coverage_tables(e), square_table(e)).get(1, 4) == 4
 
 
 def _brute_covering_square(s, i, j, want):
-    """Longest square subsequence of S[i..j] containing every letter of want."""
+    """Longest square subsequence of S[i..j] containing every letter of the mask want."""
     window = s.letters[i - 1 : j]
     m = len(window)
     best = -1
@@ -117,7 +121,7 @@ def _brute_covering_square(s, i, j, want):
         half = len(word) // 2
         if len(word) % 2 or not word or word[:half] != word[half:]:
             continue
-        if want <= set(word):
+        if want & ~_mask(word) == 0:
             best = max(best, len(word))
     return best
 
@@ -131,11 +135,11 @@ def test_s2_against_brute_force():
         s2 = s2_table(s, cov, q2)
         for i in range(1, s.n + 1):
             for j in range(i, s.n + 1):
-                want = cov.cover2.get(i, j)
+                want = cov[1][i - 1][j - i]
                 if not want:
                     assert s2.get(i, j) == -1
                     continue
-                assert s2.get(i, j) == _brute_covering_square(s, i, j, set(want))
+                assert s2.get(i, j) == _brute_covering_square(s, i, j, want)
 
 
 def test_s3_square_fallback_against_brute_force():
@@ -147,14 +151,14 @@ def test_s3_square_fallback_against_brute_force():
         s3 = s3_table(s, cov, q2)
         for i in range(1, s.n + 1):
             for j in range(i, s.n + 1):
-                want = cov.cover3.get(i, j)
+                want = cov[2][i - 1][j - i]
                 if not want:
                     assert s3.get(i, j) == -1
                     continue
                 v = s3.get(i, j)
-                if v == 3 * len(want):
+                if v == 3 * want.bit_count():
                     continue  # unique-cube case, covered elsewhere
-                assert v == _brute_covering_square(s, i, j, set(want))
+                assert v == _brute_covering_square(s, i, j, want)
 
 
 @pytest.mark.parametrize(
@@ -261,7 +265,7 @@ def reference_s3_table(seq, cov, q2):
     """``s3_table`` with one ``get``/``set`` call per cell."""
     n = seq.n
     letters = seq.letters
-    rows_c3 = cov.masks[2]
+    rows_c3 = cov[2]
     table = IntervalTable(n, "covered-cube", -1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -282,7 +286,7 @@ def reference_s3_table(seq, cov, q2):
 def reference_s2_table(seq, cov, q2):
     """``s2_table`` with one ``get``/``set`` call per cell."""
     n = seq.n
-    rows_c2 = cov.masks[1]
+    rows_c2 = cov[1]
     table = IntervalTable(n, "covered-square", -1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -303,7 +307,7 @@ def reference_feasibility_tables(seq):
     cov = coverage_tables(seq)
     s3 = reference_s3_table(seq, cov, q2)
     s2 = reference_s2_table(seq, cov, q2)
-    rows_c, _, rows_c3 = cov.masks
+    rows_c, _, rows_c3 = cov
     length = IntervalTable(n, "feasible-length", -1)
     trace = {}
     for span in range(2, n + 1):
