@@ -38,10 +38,10 @@ from collections import Counter
 from .core import (
     Sequence,
     SrsDecomposition,
+    check_decomposition,
     parse_sequence,
     sequence_from_tokens,
     split_exponent,
-    validate_srs,
 )
 from .hardness import (
     assignment_from_coloring,
@@ -120,10 +120,11 @@ def read_sequence(path: str | None, tokens: bool) -> Sequence:
     text = _read_text(path)
     if tokens:
         return _parsed(parse_sequence, text, "tokens")
-    # FASTA-style: drop header lines, concatenate the rest
-    body = "".join(
-        line.strip() for line in text.splitlines() if not line.startswith(">")
-    )
+    # FASTA-style: drop header lines, concatenate the rest.  Lines break
+    # only at \n, \r\n and \r, and only spaces and tabs are trimmed, so
+    # any other control character reaches the parser and is rejected there.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    body = "".join(line.strip(" \t") for line in lines if not line.startswith(">"))
     return _parsed(parse_sequence, body, "raw")
 
 
@@ -151,14 +152,7 @@ def _checked_witness_doc(
     """Witnesses are re-validated before printing; a failure is internal."""
     if dec is None:
         return None
-    problems = validate_srs(seq, dec, cover)
-    if problems:
-        raise AssertionError("witness validation failed: " + "; ".join(problems))
-    if expect_length is not None and dec.total_length != expect_length:
-        raise AssertionError(
-            f"witness length {dec.total_length} != reported length {expect_length}"
-        )
-    return decomposition_doc(seq, dec)
+    return decomposition_doc(seq, check_decomposition(seq, dec, expect_length, cover))
 
 
 def _check_max_n(n: int, max_n: int) -> None:
@@ -479,9 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_guard(p):
         p.add_argument(
             "--max-n",
-            type=int,
+            type=_int_at_least(0),
             default=64,
-            help="refuse longer inputs (the cube stage is O(n^6))",
+            help="refuse longer inputs; a full cube table "
+            "(tables --which q3, bench --alg q3) costs O(n^6)",
         )
 
     def add_common(p, with_guard=True):

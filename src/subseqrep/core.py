@@ -7,12 +7,12 @@ package.
 
 A decomposition is an ordered list of blocks, each ``root ** exponent``
 with the source positions of every copy recorded; ``validate_srs``
-checks a decomposition against the sequence it claims to come from.
+checks a decomposition against the sequence it claims to come from, and
+``check_decomposition`` turns a failed check into an ``AssertionError``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 
@@ -34,15 +34,6 @@ class Sequence:
     @property
     def alphabet_size(self) -> int:
         return len(self.tokens)
-
-    def letter_at(self, pos: int) -> int:
-        """Letter id at 1-based position ``pos``."""
-        if not 1 <= pos <= len(self.letters):
-            raise IndexError(f"position {pos} out of range 1..{len(self.letters)}")
-        return self.letters[pos - 1]
-
-    def token_at(self, pos: int) -> str:
-        return self.tokens[self.letter_at(pos)]
 
     def render(self, sep: str | None = None) -> str:
         """Display form; ``sep`` defaults to "" for single-char alphabets, else " "."""
@@ -105,11 +96,6 @@ class OccurrenceIndex:
     def max_occurrence(self) -> int:
         return max((len(p) for p in self.positions), default=0)
 
-    def count_in(self, letter: int, i: int, j: int) -> int:
-        """Occurrences of ``letter`` inside the 1-based interval [i, j]."""
-        plist = self.positions[letter]
-        return bisect_right(plist, j) - bisect_left(plist, i)
-
     def singletons(self) -> frozenset[int]:
         return frozenset(a for a, p in enumerate(self.positions) if len(p) == 1)
 
@@ -130,14 +116,6 @@ class SrsDecomposition:
     @property
     def total_length(self) -> int:
         return sum(b.exponent * len(b.root) for b in self.blocks)
-
-    def all_positions(self) -> tuple[int, ...]:
-        """Global position list: copies of every block, concatenated in order."""
-        out: list[int] = []
-        for b in self.blocks:
-            for copy in b.copies:
-                out.extend(copy)
-        return tuple(out)
 
     def letter_set(self) -> frozenset[int]:
         return frozenset(a for b in self.blocks for a in b.root)
@@ -203,6 +181,25 @@ def validate_srs(
     for letter in sorted(set(require_cover) - covered):
         violations.append(f"missing required letter {seq.tokens[letter]!r}")
     return violations
+
+
+def check_decomposition(
+    seq: Sequence,
+    dec: SrsDecomposition,
+    length: int | None = None,
+    cover: frozenset[int] | set[int] = frozenset(),
+) -> SrsDecomposition:
+    """Return ``dec`` if it passes ``validate_srs`` and has ``length``; else raise.
+
+    A solver's witness that fails here is a bug in the solver, so the
+    failure is an ``AssertionError``, never a user-facing error.
+    """
+    problems = validate_srs(seq, dec, cover)
+    if problems:
+        raise AssertionError("witness failed validation: " + "; ".join(problems))
+    if length is not None and dec.total_length != length:
+        raise AssertionError(f"witness length {dec.total_length} != {length}")
+    return dec
 
 
 def merge_blocks(dec: SrsDecomposition) -> SrsDecomposition:

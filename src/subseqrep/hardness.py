@@ -29,9 +29,9 @@ from .core import (
     OccurrenceIndex,
     Sequence,
     SrsDecomposition,
+    check_decomposition,
     merge_blocks,
     sequence_from_tokens,
-    validate_srs,
 )
 from .oracles import BudgetExceededError
 
@@ -414,10 +414,7 @@ def extract_witness(
             blocks.extend(list_blocks(x2))
             blocks.append(Block((id2, id3), 2, ((p3, r1), (p4, r2))))
     dec = merge_blocks(SrsDecomposition(tuple(blocks)))
-    problems = validate_srs(seq, dec, frozenset(range(seq.alphabet_size)))
-    if problems:
-        raise AssertionError("extracted witness failed validation: " + "; ".join(problems))
-    return dec
+    return check_decomposition(seq, dec, cover=frozenset(range(seq.alphabet_size)))
 
 
 def to_dimacs(f: SatInstance) -> str:

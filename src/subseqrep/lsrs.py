@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Sequence, SrsDecomposition, merge_blocks, validate_srs
+from .core import Sequence, SrsDecomposition, check_decomposition, merge_blocks
 from .tables import IntervalTable, _cube_row, cube_witness, square_table, square_witness
 
 
@@ -128,14 +128,7 @@ def lsrs(
         i = j
     blocks.reverse()
     dec = merge_blocks(SrsDecomposition(tuple(blocks)))
-
-    if dec.total_length != values[n]:
-        raise AssertionError(
-            f"witness length {dec.total_length} != optimum {values[n]}"
-        )
-    problems = validate_srs(seq, dec)
-    if problems:
-        raise AssertionError(f"witness failed validation: {problems}")
+    check_decomposition(seq, dec, values[n])
     return LsrsResult(values[n], dec, tuple(values))
 
 

@@ -38,8 +38,8 @@ from .core import (
     OccurrenceIndex,
     Sequence,
     SrsDecomposition,
+    check_decomposition,
     merge_blocks,
-    validate_srs,
 )
 from .tables import IntervalTable, square_table, square_witness
 
@@ -271,11 +271,7 @@ def lsrs_plus3(seq: Sequence, q2: IntervalTable | None = None) -> Plus3Result:
         return Plus3Result(False, -1, None)
     blocks = _rebuild(seq, tabs, 1, n)
     dec = merge_blocks(SrsDecomposition(tuple(blocks)))
-    if dec.total_length != best:
-        raise AssertionError(f"witness length {dec.total_length} != optimum {best}")
-    problems = validate_srs(seq, dec, frozenset(range(seq.alphabet_size)))
-    if problems:
-        raise AssertionError(f"witness failed validation: {problems}")
+    check_decomposition(seq, dec, best, frozenset(range(seq.alphabet_size)))
     return Plus3Result(True, best, dec)
 
 

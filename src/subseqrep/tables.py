@@ -32,10 +32,12 @@ pairwise screen, LCS(a, b, c[:k]) <= LCS(a, c[:k]), from one
 bit-parallel row of a against c per pair that passes the others.  There
 the floor keeps the thresholds high, and the screen cuts the 3-way DPs
 of ``lsrs``'s rows about 3.5x (141 to 40 over ten random ACGT strings
-of length 48).  ``cube_table`` leaves it out: it made the full table
-about 2.2x faster at n = 48, which pulls the fitted cube slope of
-acceptance criterion 6 (n = 8/16/32) to 4.39-4.48, under its 4.5 floor
-(ROADMAP item 4).
+of length 48).  ``cube_table`` leaves it out, because acceptance
+criterion 6 fits its slope to the full table's times (ROADMAP item 4).
+In every row the screen makes the full table about 2.4x faster at
+n = 48 (1.2-2.8x over four passes of six strings) and moves the fitted
+cube slope of criterion 6 (n = 8/16/32) from 4.64-5.08 to 4.54-4.72,
+just above its 4.5 floor (12 replays per side, 2 CPUs, Python 3.11).
 
 Witnesses are rebuilt on demand per interval -- storing tracebacks for
 all O(n^2) intervals would dwarf the tables themselves.  They take no
@@ -78,8 +80,6 @@ from .lcs import (
     lcs3_witness,
 )
 
-INT_KINDS = ("square", "cube", "covered-square", "covered-cube", "feasible-length")
-
 
 class IntervalTable:
     """Triangular map (i, j) -> value for 1 <= i <= j <= n."""
@@ -87,8 +87,6 @@ class IntervalTable:
     __slots__ = ("n", "kind", "rows")
 
     def __init__(self, n: int, kind: str, fill=0):
-        if kind not in INT_KINDS:
-            raise ValueError(f"unknown table kind {kind!r}")
         self.n = n
         self.kind = kind
         self.rows = [[fill] * (n - i) for i in range(n)]

@@ -92,6 +92,20 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_raw_input_breaks_lines_only_at_newlines(capsys, monkeypatch):
+    # \f, \v and \x1c-\x1e are control characters, not line breaks
+    for text in ("AC\fGT", "AC\x1cGT", "AC\vGT\n", "ACGT\x1e\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "analyze", "-")
+        assert code == 2 and out == "", repr(text)
+        assert err.startswith("input error: control character"), (text, err)
+    for text in ("AC\r\nGT", "AC\rGT", ">head\r\nAC \r\nGT\t\r"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run_cli(capsys, "analyze", "-")
+        assert code == 0, repr(text)
+        assert json.loads(out)["input"] == {"n": 4, "alphabet": 4, "max_occurrence": 1}
+
+
 def test_undecodable_input_is_an_input_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "seq.bin"
     path.write_bytes(b"AC\xffGT")
@@ -268,7 +282,7 @@ def test_unwritable_output_is_an_output_error(tmp_path, capsys):
 
 def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
     # force the pre-print witness validation to report a violation
-    monkeypatch.setattr("subseqrep.cli.validate_srs", lambda *a, **k: ["forced"])
+    monkeypatch.setattr("subseqrep.core.validate_srs", lambda *a, **k: ["forced"])
     path = write(tmp_path, "seq.txt", "abab\n")
     code, _, err = run_cli(capsys, "analyze", path)
     assert code == 4
@@ -422,6 +436,9 @@ def test_bench_git_marks_uncommitted_changes(tmp_path):
     "argv",
     [
         ("bench", "--alg", "q3", "--sizes", "8,16", "--reps", "-2"),
+        ("analyze", "-", "--max-n", "-1"),
+        ("tables", "-", "--which", "q2", "--max-n", "-1"),
+        ("bench", "--alg", "q2", "--sizes", "4,8", "--max-n", "-1"),
     ],
 )
 def test_out_of_range_counts_rejected_while_parsing(capsys, monkeypatch, argv):

@@ -19,6 +19,15 @@ from subseqrep.core import (
     srs_partitionable,
     validate_srs,
 )
+from subseqrep.hardness import (
+    Graph,
+    assignment_from_coloring,
+    coloring_to_sat,
+    extract_witness,
+    sat_to_string,
+)
+from subseqrep.lsrs import lsrs
+from subseqrep.plus3 import lsrs_plus3
 
 from helpers import brute_partitionable, random_string, strings_up_to
 
@@ -64,16 +73,6 @@ def test_render_round_trip(text):
     assert parse_sequence(text).render() == text
 
 
-def test_positions_are_one_based():
-    s = parse_sequence("abc")
-    assert s.token_at(1) == "a"
-    assert s.token_at(3) == "c"
-    with pytest.raises(IndexError):
-        s.letter_at(0)
-    with pytest.raises(IndexError):
-        s.letter_at(4)
-
-
 def test_occurrence_index():
     s = parse_sequence("ababbcacc")
     idx = OccurrenceIndex.from_sequence(s)
@@ -83,8 +82,6 @@ def test_occurrence_index():
         assert list(plist) == sorted(plist)
     a = s.tokens.index("a")
     assert idx.positions[a] == (1, 3, 7)
-    assert idx.count_in(a, 2, 7) == 2
-    assert idx.count_in(a, 4, 6) == 0
     assert idx.singletons() == frozenset()
     assert OccurrenceIndex.from_sequence(parse_sequence("ab")).singletons() == frozenset({0, 1})
 
@@ -143,6 +140,22 @@ def test_validate_srs_cover_requirement():
 def test_validate_empty_decomposition():
     s = parse_sequence("abc")
     assert validate_srs(s, SrsDecomposition(())) == []
+
+
+def test_solvers_check_their_own_witnesses(monkeypatch):
+    # every solver re-validates its witness through the one shared check
+    k3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
+    f = coloring_to_sat(k3)
+    r = sat_to_string(f)
+    assignment = assignment_from_coloring(k3, f, [1, 2, 3])
+    monkeypatch.setattr("subseqrep.core.validate_srs", lambda *a, **k: ["forced"])
+    for solve in (
+        lambda: lsrs(parse_sequence("abab")),
+        lambda: lsrs_plus3(parse_sequence("abab")),
+        lambda: extract_witness(f, assignment, r),
+    ):
+        with pytest.raises(AssertionError, match="^witness failed validation: forced$"):
+            solve()
 
 
 def test_merge_blocks_combines_equal_roots():

@@ -93,7 +93,7 @@ def test_neg_list_structure_matches_construction():
     # u's color-1 variable is negated in its two vertex clauses and in the
     # color-1 clause of each incident edge, type-1 first, each doubled
     span = r.var_spans[var_id(0, 1)]
-    tokens = [r.seq.token_at(p) for p in range(span[0], span[1] + 1)]
+    tokens = [r.seq.tokens[a] for a in r.seq.letters[span[0] - 1 : span[1]]]
     t1 = [c.index for c in f.neg_clauses if c.kind == 1 and var_id(0, 1) in c.vars]
     t2 = [c.index for c in f.neg_clauses if c.kind == 2 and var_id(0, 1) in c.vars]
     want = []
@@ -189,7 +189,7 @@ def test_extract_witness_k3():
     cover = frozenset(range(r.seq.alphabet_size))
     assert validate_srs(r.seq, dec, cover) == []
     # exactly one variable list per positive clause is dropped
-    used = set(dec.all_positions())
+    used = {p for b in dec.blocks for copy in b.copies for p in copy}
     for clause in f.plus_clauses:
         absent = 0
         for v in clause:

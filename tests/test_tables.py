@@ -57,8 +57,6 @@ def test_interval_table_bounds():
         t.get(0, 3)
     with pytest.raises(IndexError):
         t.get(1, 5)
-    with pytest.raises(ValueError):
-        IntervalTable(3, "nonsense")
 
 
 def test_exhaustive_against_oracle():
