@@ -38,7 +38,8 @@ from collections import Counter
 from .core import (
     Sequence,
     SrsDecomposition,
-    check_decomposition,
+    _fields,
+    _lines,
     parse_sequence,
     sequence_from_tokens,
     split_exponent,
@@ -94,8 +95,8 @@ def _parsed(parse, *args):
         raise _InputError(str(exc)) from exc
 
 
-def _int_list(text: str, sep: str | None = None) -> list[int]:
-    return [int(tok) for tok in text.split(sep) if tok]
+def _int_list(tokens: list[str]) -> list[int]:
+    return [int(tok) for tok in tokens if tok]
 
 
 def _read_text(path: str | None) -> str:
@@ -120,15 +121,15 @@ def read_sequence(path: str | None, tokens: bool) -> Sequence:
     text = _read_text(path)
     if tokens:
         return _parsed(parse_sequence, text, "tokens")
-    # FASTA-style: drop header lines, concatenate the rest.  Lines break
-    # only at \n, \r\n and \r, and only spaces and tabs are trimmed, so
-    # any other control character reaches the parser and is rejected there.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    body = "".join(line.strip(" \t") for line in lines if not line.startswith(">"))
+    # FASTA-style: drop header lines, concatenate the rest; a tab inside a
+    # line reaches the parser and is rejected there
+    body = "".join(ln for ln in _parsed(_lines, text) if not ln.startswith(">"))
     return _parsed(parse_sequence, body, "raw")
 
 
-def decomposition_doc(seq: Sequence, dec: SrsDecomposition) -> dict:
+def decomposition_doc(seq: Sequence, dec: SrsDecomposition | None) -> dict | None:
+    if dec is None:
+        return None
     return {
         "blocks": [
             {
@@ -141,18 +142,6 @@ def decomposition_doc(seq: Sequence, dec: SrsDecomposition) -> dict:
         "total_length": dec.total_length,
         "display": dec.render(seq),
     }
-
-
-def _checked_witness_doc(
-    seq: Sequence,
-    dec: SrsDecomposition | None,
-    cover=frozenset(),
-    expect_length: int | None = None,
-):
-    """Witnesses are re-validated before printing; a failure is internal."""
-    if dec is None:
-        return None
-    return decomposition_doc(seq, check_decomposition(seq, dec, expect_length, cover))
 
 
 def _check_max_n(n: int, max_n: int) -> None:
@@ -170,12 +159,13 @@ def analyze_report(seq: Sequence) -> dict:
     """The ``analyze`` report of one sequence, ``timing_ms`` included.
 
     The square table fills one list of cut vectors, which the cube check
-    and ``lsrs``'s cube rows read; the witnesses build their own.  The
-    cube witness validates, which bounds the longest cube from below;
-    ``check_no_longer_cube`` bounds it from above with the 3-way values
-    the witness's search ran.  Raises AssertionError when a witness
-    fails validation or disagrees with its bound, or when the cube check
-    fails.
+    and ``lsrs``'s cube rows read; the witnesses build their own.  Every
+    solver validates the witness it returns, so the cube witness bounds
+    the longest cube from below; ``check_no_longer_cube`` bounds it from
+    above with the 3-way values the witness's search ran.  Raises
+    AssertionError when a witness fails its solver's validation, when
+    the square witness is not Q2[1, n] long or the cube witness is not
+    one exponent-3 block, or when the cube check fails.
     """
     n = seq.n
     pre = [None] * n
@@ -187,6 +177,9 @@ def analyze_report(seq: Sequence) -> dict:
     sq_wit = square_witness(seq, 1, n) if sq_len else None
     cu_wit, cu_runs = cube_search(seq, 1, n) if n else (None, {})
     witnesses_ms = _ms_since(t0)
+    got = sq_wit.total_length if sq_wit else 0
+    if got != sq_len:
+        raise AssertionError(f"square witness length {got} != Q2[1, n] = {sq_len}")
     if cu_wit is not None and [b.exponent for b in cu_wit.blocks] != [3]:
         raise AssertionError("cube witness is not a single exponent-3 block")
     cu_len = cu_wit.total_length if cu_wit else 0
@@ -202,11 +195,11 @@ def analyze_report(seq: Sequence) -> dict:
         },
         "square": {
             "length": sq_len,
-            "witness": _checked_witness_doc(seq, sq_wit, expect_length=sq_len),
+            "witness": decomposition_doc(seq, sq_wit),
         },
         "cube": {
             "length": cu_len,
-            "witness": _checked_witness_doc(seq, cu_wit),
+            "witness": decomposition_doc(seq, cu_wit),
         },
     }
     t0 = time.perf_counter()
@@ -214,24 +207,16 @@ def analyze_report(seq: Sequence) -> dict:
     timing["lsrs"] = _ms_since(t0)
     report["lsrs"] = {
         "length": result.length,
-        "decomposition": _checked_witness_doc(
-            seq, result.decomposition, expect_length=result.length
-        ),
+        "decomposition": decomposition_doc(seq, result.decomposition),
     }
     if max_occurrence <= 3:
         t0 = time.perf_counter()
         plus = lsrs_plus3(seq, q2=q2)
         timing["lsrs_plus3"] = _ms_since(t0)
-        cover = frozenset(range(seq.alphabet_size)) if plus.feasible else frozenset()
         report["lsrs_plus3"] = {
             "feasible": plus.feasible,
             "length": plus.length,
-            "decomposition": _checked_witness_doc(
-                seq,
-                plus.decomposition,
-                cover,
-                expect_length=plus.length if plus.feasible else None,
-            ),
+            "decomposition": decomposition_doc(seq, plus.decomposition),
         }
     report["timing_ms"] = timing
     return report
@@ -293,9 +278,7 @@ def cmd_reduce(args) -> None:
             _emit(args, sat_to_json_doc(sat))
         return
 
-    if not sat.plus_clauses:
-        raise _InputError("cannot build an instance for an empty formula")
-    instance = sat_to_string(sat)
+    instance = _parsed(sat_to_string, sat)
     if args.format == "tokens":
         _emit_text(args, instance.seq.render(" ") + "\n")
         return
@@ -308,14 +291,12 @@ def cmd_reduce(args) -> None:
         "legend": instance.legend,
     }
     if args.witness:
-        colors = _parsed(_int_list, _read_text(args.witness))
+        colors = _parsed(_int_list, _parsed(_fields, _read_text(args.witness)))
         assignment = _parsed(assignment_from_coloring, graph, sat, colors)
         if not assignment.valid:
             raise _InputError("coloring does not induce a valid assignment")
         dec = extract_witness(sat, assignment, instance)
-        doc["witness"] = _checked_witness_doc(
-            instance.seq, dec, frozenset(range(instance.seq.alphabet_size))
-        )
+        doc["witness"] = decomposition_doc(instance.seq, dec)
         doc["witness"]["validation"] = "ok"
     _emit(args, doc)
 
@@ -358,7 +339,7 @@ def fitted_slope(points: list[tuple[int, float]]) -> float:
 def cmd_bench(args) -> None:
     import statistics  # here, not at the top: analyze never needs it
 
-    sizes = _parsed(_int_list, args.sizes, ",")
+    sizes = _parsed(_int_list, args.sizes.split(","))
     if len(set(sizes)) < 2:
         raise _InputError("need at least two distinct sizes")
     if min(sizes) < 1:

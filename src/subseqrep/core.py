@@ -46,9 +46,9 @@ def parse_sequence(text: str, mode: str = "raw") -> Sequence:
     """Parse ``text`` into a Sequence.
 
     raw mode: every character is a letter; control characters are
-    rejected with their byte offset.  tokens mode: whitespace-separated
-    tokens are the letters.  The alphabet is interned in
-    first-appearance order.
+    rejected with their byte offset.  tokens mode: the space- or
+    tab-separated fields of the lines are the letters (see ``_lines``).
+    The alphabet is interned in first-appearance order.
     """
     if mode == "raw":
         for off, ch in enumerate(text):
@@ -58,10 +58,30 @@ def parse_sequence(text: str, mode: str = "raw") -> Sequence:
                 )
         items = list(text)
     elif mode == "tokens":
-        items = text.split()
+        items = _fields(text)
     else:
         raise ValueError(f"unknown parse mode {mode!r}")
     return sequence_from_tokens(items)
+
+
+def _lines(text: str, error: type[ValueError] = SequenceParseError) -> list[str]:
+    """The lines of input text, with spaces and tabs trimmed from their ends.
+
+    Every text reader follows this rule: lines break only at \\n, \\r\\n and
+    \\r, and a field ends only at a space or a tab (``_fields``).  Any
+    other control character raises ``error``.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for number, line in enumerate(lines, 1):
+        for ch in line:
+            if (ord(ch) < 32 and ch != "\t") or ord(ch) == 127:
+                raise error(f"control character {ch!r} on line {number}")
+    return [line.strip(" \t") for line in lines]
+
+
+def _fields(text: str) -> list[str]:
+    """The space- or tab-separated fields of every line of ``text``."""
+    return [f for line in _lines(text) for f in line.replace("\t", " ").split(" ") if f]
 
 
 def sequence_from_tokens(items: list[str]) -> Sequence:

@@ -29,6 +29,8 @@ from .core import (
     OccurrenceIndex,
     Sequence,
     SrsDecomposition,
+    _fields,
+    _lines,
     check_decomposition,
     merge_blocks,
     sequence_from_tokens,
@@ -62,10 +64,10 @@ class Graph:
 
 def parse_graph(text: str) -> Graph:
     """Header line ``|V| |E|`` then one ``u v`` line per edge, 0-based ids."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
+    lines = [ln for ln in _lines(text, GraphFormatError) if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty graph description")
-    head = lines[0].split()
+    head = _fields(lines[0])
     if len(head) != 2:
         raise GraphFormatError(f"header must be '|V| |E|', got {lines[0]!r}")
     try:
@@ -78,7 +80,7 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(f"expected {ne} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
+        parts = _fields(ln)
         if len(parts) != 2:
             raise GraphFormatError(f"edge line must be 'u v', got {ln!r}")
         try:

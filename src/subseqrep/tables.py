@@ -30,18 +30,17 @@ pre[s][m][k] = LCS(S[s..m], S[m+1..m+k]), built with the bit-parallel
 A bounded row (one with a floor, as ``lsrs`` builds them) adds a third
 pairwise screen, LCS(a, b, c[:k]) <= LCS(a, c[:k]), from one
 bit-parallel row of a against c per pair that passes the others.  There
-the floor keeps the thresholds high, and the screen cuts the 3-way DPs
-of ``lsrs``'s rows about 3.5x (141 to 40 over ten random ACGT strings
-of length 48).  ``cube_table`` leaves it out, because acceptance
-criterion 6 fits its slope to the full table's times (ROADMAP item 4).
-In every row the screen makes the full table about 2.4x faster at
-n = 48 (1.2-2.8x over four passes of six strings) and moves the fitted
-cube slope of criterion 6 (n = 8/16/32) from 4.64-5.08 to 4.54-4.72,
-just above its 4.5 floor (12 replays per side, 2 CPUs, Python 3.11).
+the floor keeps the thresholds high, and the screen skips most of the
+3-way DPs of ``lsrs``'s rows.  ``cube_table`` leaves it out, because
+acceptance criterion 6 fits its slope to the full table's times, and a
+faster table at n = 32 lowers that slope toward its floor (ROADMAP
+item 4).
 
 Witnesses are rebuilt on demand per interval -- storing tracebacks for
 all O(n^2) intervals would dwarf the tables themselves.  They take no
-shared state: each builds the 2-way vectors of its own interval.
+shared state: each builds the 2-way vectors of its own interval.  Each
+is validated by ``check_decomposition``, its length included, before
+it is returned, so a caller never sees a witness that fails the check.
 ``cube_witness`` files its cut pairs by bound = min(LCS(a, b), LCS(a, c))
 and visits them from the highest bound, keeping the pair with the
 largest key (root, -c1, -c2): the longest root at the smallest (c1, c2),
@@ -71,7 +70,7 @@ memory O(n^2).
 
 from __future__ import annotations
 
-from .core import Block, Sequence, SrsDecomposition
+from .core import Block, Sequence, SrsDecomposition, check_decomposition
 from .lcs import (
     lcs2_all_prefixes,
     lcs2_cut_prefixes,
@@ -298,7 +297,8 @@ def square_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
     """Single exponent-2 block of length Q2[i, j], or None when that is 0.
 
     Re-derives the best cut for the interval (smallest cut wins ties),
-    then runs an LCS traceback across it.
+    then runs an LCS traceback across it.  The witness is validated
+    (``check_decomposition``, length included) before it is returned.
     """
     _bounds_check(seq, i, j)
     letters = seq.letters
@@ -316,7 +316,8 @@ def square_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
     word, pa, pb = lcs2_witness(letters[i - 1 : best_m], letters[best_m : j])
     copy1 = tuple(i - 1 + p for p in pa)
     copy2 = tuple(best_m + p for p in pb)
-    return SrsDecomposition((Block(tuple(word), 2, (copy1, copy2)),))
+    dec = SrsDecomposition((Block(tuple(word), 2, (copy1, copy2)),))
+    return check_decomposition(seq, dec, 2 * best_val)
 
 
 def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
@@ -324,7 +325,8 @@ def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
 
     Ties broken by the smallest (c1, c2) cut pair.  The pairs run
     best-first on the bound min(LCS(a, b), LCS(a, c)); see the module
-    docstring for why that returns the index-order scan's pair.
+    docstring for why that returns the index-order scan's pair.  The
+    witness is validated by ``cube_search`` before it is returned.
     """
     return cube_search(seq, i, j)[0]
 
@@ -336,7 +338,9 @@ def cube_search(
 
     The dict maps each cut pair (c1, c2) whose 3-way DP ran to
     LCS(S[i..c1], S[c1+1..c2], S[c2+1..j]); ``check_no_longer_cube``
-    reads it to prove the witness of the whole sequence longest.
+    reads it to prove the witness of the whole sequence longest.  The
+    witness is validated (``check_decomposition``, length included)
+    before it is returned.
     """
     _bounds_check(seq, i, j)
     letters = seq.letters
@@ -384,7 +388,8 @@ def cube_search(
         tuple(c1 + p for p in pb),
         tuple(c2 + p for p in pc),
     )
-    return SrsDecomposition((Block(tuple(word), 3, copies),)), runs
+    dec = SrsDecomposition((Block(tuple(word), 3, copies),))
+    return check_decomposition(seq, dec, 3 * best[0]), runs
 
 
 def check_no_longer_cube(

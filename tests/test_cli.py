@@ -106,6 +106,33 @@ def test_raw_input_breaks_lines_only_at_newlines(capsys, monkeypatch):
         assert json.loads(out)["input"] == {"n": 4, "alphabet": 4, "max_occurrence": 1}
 
 
+def test_every_text_reader_breaks_lines_only_at_newlines(tmp_path, capsys, monkeypatch):
+    # tokens, graphs and colourings follow the raw reader's line rule:
+    # fields split only at spaces and tabs, other control characters fail
+    for text in ("a\x01b a\x01b\n", "ab\x1cab", "F1 F1\vg1 g1"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "analyze", "-", "--tokens")
+        assert code == 2 and out == "", repr(text)
+        assert err.startswith("input error: control character"), (text, err)
+    monkeypatch.setattr("sys.stdin", io.StringIO("F1 F1\tg1\r\n"))
+    code, out, _ = run_cli(capsys, "analyze", "-", "--tokens")
+    assert code == 0
+    assert json.loads(out)["input"] == {"n": 3, "alphabet": 2, "max_occurrence": 2}
+
+    graph = write(tmp_path, "p2.graph", "2 1\r\n0 1\r\n")
+    code, out, _ = run_cli(capsys, "reduce", "--from", "coloring", "--to", "sat", graph)
+    assert code == 0 and json.loads(out)["num_vars"] == 6
+    bad_graph = write(tmp_path, "bad.graph", "2 1\x1c0 1\n")
+    code, out, err = run_cli(capsys, "reduce", "--from", "coloring", "--to", "sat", bad_graph)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: control character"), err
+    colors = write(tmp_path, "colors.txt", "1\x1c2\n")
+    argv = ("reduce", "--from", "coloring", "--to", "string", "--witness", colors, graph)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: control character"), err
+
+
 def test_undecodable_input_is_an_input_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "seq.bin"
     path.write_bytes(b"AC\xffGT")
@@ -281,7 +308,7 @@ def test_unwritable_output_is_an_output_error(tmp_path, capsys):
 
 
 def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # force the pre-print witness validation to report a violation
+    # force the solvers' own witness validation to report a violation
     monkeypatch.setattr("subseqrep.core.validate_srs", lambda *a, **k: ["forced"])
     path = write(tmp_path, "seq.txt", "abab\n")
     code, _, err = run_cli(capsys, "analyze", path)
@@ -308,6 +335,22 @@ def test_analyze_catches_a_cube_witness_one_root_short(tmp_path, capsys, monkeyp
         code, out, err = run_cli(capsys, "analyze", path)
         assert code == 4 and out == ""
         assert err.startswith("internal invariant failure") and err.count("\n") == 1
+
+
+def test_analyze_catches_a_square_witness_one_letter_short(tmp_path, capsys, monkeypatch):
+    real = cli.square_witness
+
+    def one_short(seq, i, j):
+        (block,) = real(seq, i, j).blocks
+        copies = tuple(copy[1:] for copy in block.copies)
+        return SrsDecomposition((Block(block.root[1:], 2, copies),))
+
+    seq = parse_sequence("ACGAGCGCAGCGA")
+    assert validate_srs(seq, one_short(seq, 1, seq.n)) == []
+    monkeypatch.setattr(cli, "square_witness", one_short)
+    code, out, err = run_cli(capsys, "analyze", write(tmp_path, "seq.txt", "ACGAGCGCAGCGA\n"))
+    assert code == 4 and out == ""
+    assert err.startswith("internal invariant failure: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from subseqrep.hardness import (
 )
 from subseqrep.lsrs import lsrs
 from subseqrep.plus3 import lsrs_plus3
+from subseqrep.tables import cube_search, cube_witness, square_witness
 
 from helpers import brute_partitionable, random_string, strings_up_to
 
@@ -150,6 +151,9 @@ def test_solvers_check_their_own_witnesses(monkeypatch):
     assignment = assignment_from_coloring(k3, f, [1, 2, 3])
     monkeypatch.setattr("subseqrep.core.validate_srs", lambda *a, **k: ["forced"])
     for solve in (
+        lambda: square_witness(parse_sequence("abab"), 1, 4),
+        lambda: cube_witness(parse_sequence("ababab"), 1, 6),
+        lambda: cube_search(parse_sequence("ababab"), 1, 6),
         lambda: lsrs(parse_sequence("abab")),
         lambda: lsrs_plus3(parse_sequence("abab")),
         lambda: extract_witness(f, assignment, r),
