@@ -39,7 +39,6 @@ from .core import (
     Sequence,
     SrsDecomposition,
     _fields,
-    _lines,
     parse_sequence,
     sequence_from_tokens,
     split_exponent,
@@ -118,13 +117,7 @@ def _read_text(path: str | None) -> str:
 
 
 def read_sequence(path: str | None, tokens: bool) -> Sequence:
-    text = _read_text(path)
-    if tokens:
-        return _parsed(parse_sequence, text, "tokens")
-    # FASTA-style: drop header lines, concatenate the rest; a tab inside a
-    # line reaches the parser and is rejected there
-    body = "".join(ln for ln in _parsed(_lines, text) if not ln.startswith(">"))
-    return _parsed(parse_sequence, body, "raw")
+    return _parsed(parse_sequence, _read_text(path), "tokens" if tokens else "raw")
 
 
 def decomposition_doc(seq: Sequence, dec: SrsDecomposition | None) -> dict | None:
@@ -242,11 +235,8 @@ def cmd_tables(args) -> None:
 
 def cmd_oracle(args) -> None:
     seq = read_sequence(args.input, args.tokens)
-    if args.kind == "q2":
-        table = oracle_square_table(seq)
-        value = table.get(1, seq.n) if seq.n else 0
-    elif args.kind == "q3":
-        table = oracle_cube_table(seq)
+    if args.kind in ("q2", "q3"):
+        table = (oracle_square_table if args.kind == "q2" else oracle_cube_table)(seq)
         value = table.get(1, seq.n) if seq.n else 0
     elif args.kind == "lsrs":
         value = oracle_lsrs(seq)

@@ -43,20 +43,22 @@ class Sequence:
 
 
 def parse_sequence(text: str, mode: str = "raw") -> Sequence:
-    """Parse ``text`` into a Sequence.
+    """Parse ``text`` into a Sequence, reading its lines by ``_lines``.
 
-    raw mode: every character is a letter; control characters are
-    rejected with their byte offset.  tokens mode: the space- or
-    tab-separated fields of the lines are the letters (see ``_lines``).
-    The alphabet is interned in first-appearance order.
+    raw mode: lines that start with ">" (FASTA headers) are dropped and
+    every character of the other lines is a letter; a tab inside a line
+    is rejected with its line number.  tokens mode: the space- or
+    tab-separated fields of the lines are the letters.  The alphabet is
+    interned in first-appearance order.
     """
     if mode == "raw":
-        for off, ch in enumerate(text):
-            if ord(ch) < 32 or ord(ch) == 127:
-                raise SequenceParseError(
-                    f"control character {ch!r} at byte offset {off} in raw input"
-                )
-        items = list(text)
+        items: list[str] = []
+        for number, line in enumerate(_lines(text), 1):
+            if line.startswith(">"):
+                continue
+            if "\t" in line:
+                raise SequenceParseError(f"control character '\\t' on line {number}")
+            items += line
     elif mode == "tokens":
         items = _fields(text)
     else:
@@ -68,8 +70,9 @@ def _lines(text: str, error: type[ValueError] = SequenceParseError) -> list[str]
     """The lines of input text, with spaces and tabs trimmed from their ends.
 
     Every text reader follows this rule: lines break only at \\n, \\r\\n and
-    \\r, and a field ends only at a space or a tab (``_fields``).  Any
-    other control character raises ``error``.
+    \\r, and a field ends only at a space or a tab (``_fields``); raw
+    sequence text rejects a tab (``parse_sequence``).  Any other control
+    character raises ``error`` with its line number.
     """
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for number, line in enumerate(lines, 1):

@@ -274,6 +274,8 @@ def sat_to_string(f: SatInstance) -> ReductionInstance:
     doubled negative-clause list:
 
         m2 . L1 . m1 m2 m1 . L2 . m2 . L3 . m3 m2 m3
+
+    In the tuple below a string names the marker and a number k names Lk.
     """
     problems = validate_sat_instance(f)
     if problems:
@@ -292,38 +294,23 @@ def sat_to_string(f: SatInstance) -> ReductionInstance:
             "index": clause.index,
         }
 
-    def emit(tok: str) -> None:
-        tokens.append(tok)
-
-    def emit_list(var: int) -> None:
-        start = len(tokens) + 1
-        for idx in lists[var]:
-            emit(f"F-{idx}")
-            emit(f"F-{idx}")
-        var_spans[var] = (start, len(tokens))
-
     for i, clause in enumerate(f.plus_clauses, start=1):
         if i > 1:
             k = i - 1
-            for tok in (f"g-{k}", f"gp-{k}", f"g-{k}", f"gp-{k}"):
-                emit(tok)
+            tokens += (f"g-{k}", f"gp-{k}", f"g-{k}", f"gp-{k}")
             legend[f"g-{k}"] = {"role": "separator", "junction": k, "primed": False}
             legend[f"gp-{k}"] = {"role": "separator", "junction": k, "primed": True}
-        x1, x2, x3 = clause
-        m1, m2, m3 = f"m1-{i}", f"m2-{i}", f"m3-{i}"
-        for slot, tok in enumerate((m1, m2, m3), start=1):
-            legend[tok] = {"role": "marker", "slot": slot, "clause": i}
-        emit(m2)
-        emit_list(x1)
-        emit(m1)
-        emit(m2)
-        emit(m1)
-        emit_list(x2)
-        emit(m2)
-        emit_list(x3)
-        emit(m3)
-        emit(m2)
-        emit(m3)
+        for slot in (1, 2, 3):
+            legend[f"m{slot}-{i}"] = {"role": "marker", "slot": slot, "clause": i}
+        for part in ("m2", 1, "m1", "m2", "m1", 2, "m2", 3, "m3", "m2", "m3"):
+            if isinstance(part, str):
+                tokens.append(f"{part}-{i}")
+                continue
+            var = clause[part - 1]
+            start = len(tokens) + 1
+            for idx in lists[var]:
+                tokens += (f"F-{idx}", f"F-{idx}")
+            var_spans[var] = (start, len(tokens))
 
     seq = sequence_from_tokens(tokens)
     instance = ReductionInstance(seq, legend, var_spans, f)

@@ -66,6 +66,9 @@ def lsrs(
     fills it (``analyze`` passes the one its cube check reads); the
     targeted cube rows read it, and without it they share one of their
     own.  The interval witnesses of the traceback take no shared state.
+    Each block is validated by the witness function that builds it and
+    the merged decomposition once more, because only the second check
+    sees the order across blocks, merged equal roots and the total length.
     ``threads`` is accepted for compatibility and has no effect.
     """
     n = seq.n

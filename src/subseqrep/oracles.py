@@ -6,9 +6,10 @@ interval tables by enumerating every cut with private LCS routines
 subsequences and testing partitionability of the letter word.
 
 Each oracle has a fixed length limit (``SQUARE_N``, ``CUBE_N``,
-``LSRS_N``, ``LSRS_PLUS_N``) and all share ``MAX_ALPHABET``; an input
-past a limit raises ``BudgetExceededError`` before any exponential
-search starts.
+``LSRS_N``, ``LSRS_PLUS_N``); an input past its limit raises
+``BudgetExceededError`` before any exponential search starts.  The cost
+of every search depends on the length alone, so there is no alphabet
+limit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ SQUARE_N = 16
 CUBE_N = 14
 LSRS_N = 16
 LSRS_PLUS_N = 14
-MAX_ALPHABET = 16
 
 
 class BudgetExceededError(Exception):
@@ -34,10 +34,6 @@ class BudgetExceededError(Exception):
 def _enforce(seq: Sequence, max_n: int, what: str) -> None:
     if seq.n > max_n:
         raise BudgetExceededError(f"{what}: length {seq.n} exceeds budget {max_n}")
-    if seq.alphabet_size > MAX_ALPHABET:
-        raise BudgetExceededError(
-            f"{what}: alphabet size {seq.alphabet_size} exceeds budget {MAX_ALPHABET}"
-        )
 
 
 def _lcs2_len(a, b) -> int:

@@ -33,8 +33,8 @@ bit-parallel row of a against c per pair that passes the others.  There
 the floor keeps the thresholds high, and the screen skips most of the
 3-way DPs of ``lsrs``'s rows.  ``cube_table`` leaves it out, because
 acceptance criterion 6 fits its slope to the full table's times, and a
-faster table at n = 32 lowers that slope toward its floor (ROADMAP
-item 4).
+faster table at n = 32 lowers that slope toward the criterion's floor
+of 4.5.
 
 Witnesses are rebuilt on demand per interval -- storing tracebacks for
 all O(n^2) intervals would dwarf the tables themselves.  They take no

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import shutil
 import signal
@@ -106,6 +107,42 @@ def test_raw_input_breaks_lines_only_at_newlines(capsys, monkeypatch):
         assert json.loads(out)["input"] == {"n": 4, "alphabet": 4, "max_occurrence": 1}
 
 
+def test_a_tab_in_a_raw_line_is_named_by_its_line(capsys, monkeypatch):
+    for text, line in ((">h\nAC\tGT\n", 2), ("é\tA\n", 1)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "analyze", "-")
+        assert code == 2 and out == "", repr(text)
+        assert err == f"input error: control character '\\t' on line {line}\n", err
+
+
+def test_library_and_analyze_read_the_same_letters(capsys, monkeypatch):
+    # random FASTA wrapping: headers, line breaks of all three kinds,
+    # spaces and tabs at line ends, with or without a final newline
+    read = []
+    monkeypatch.setattr(cli, "analyze_report", lambda seq: read.append(seq) or {})
+    rng = random.Random(19)
+
+    def pad():
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(0, 2)))
+
+    for _ in range(60):
+        letters = "".join(rng.choice("ACGTé") for _ in range(rng.randint(0, 30)))
+        text = ""
+        rest = letters
+        while rest or not text:
+            if rng.random() < 0.3:
+                text += ">" + rng.choice(["", "seq 1", " x\t"]) + "\n"
+            cut = rng.randint(0, len(rest))
+            text += pad() + rest[:cut] + pad() + rng.choice(["\n", "\r\n", "\r"])
+            rest = rest[cut:]
+        if rng.random() < 0.5:
+            text = text.rstrip("\r\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run_cli(capsys, "analyze", "-")
+        assert code == 0, (text, err)
+        assert read.pop() == parse_sequence(text) == parse_sequence(letters), repr(text)
+
+
 def test_every_text_reader_breaks_lines_only_at_newlines(tmp_path, capsys, monkeypatch):
     # tokens, graphs and colourings follow the raw reader's line rule:
     # fields split only at spaces and tabs, other control characters fail
@@ -201,6 +238,12 @@ def test_oracle_command(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "oracle", "--kind", "lsrs", path3)
     assert json.loads(out)["value"] == 4
 
+    for text, kind, value in (
+        ("ababab", "q2", 4), ("ababab", "q3", 6), ("", "q2", 0), ("", "q3", 0)
+    ):
+        code, out, _ = run_cli(capsys, "oracle", "--kind", kind, write(tmp_path, "s.txt", text))
+        assert code == 0 and json.loads(out) == {"kind": kind, "value": value}, (text, kind)
+
     big = write(tmp_path, "big.txt", "a" * 30)
     code, _, err = run_cli(capsys, "oracle", "--kind", "lsrs", big)
     assert code == 3
@@ -281,6 +324,15 @@ def test_reduce_bad_graph(tmp_path, capsys):
     code, _, err = run_cli(capsys, "reduce", "--from", "coloring", "--to", "sat", path)
     assert code == 2
     assert "input error" in err
+    for text, message in (
+        ("x 1\n", "non-integer header 'x 1'"),
+        ("-1 0\n", "negative counts in header"),
+        ("2 1\n0\n", "edge line must be 'u v', got '0'"),
+    ):
+        path = write(tmp_path, "bad.graph", text)
+        code, out, err = run_cli(capsys, "reduce", "--from", "coloring", "--to", "sat", path)
+        assert code == 2 and out == "", text
+        assert err == f"input error: {message}\n", err
 
 
 def test_output_file_option(tmp_path, capsys):
@@ -335,6 +387,19 @@ def test_analyze_catches_a_cube_witness_one_root_short(tmp_path, capsys, monkeyp
         code, out, err = run_cli(capsys, "analyze", path)
         assert code == 4 and out == ""
         assert err.startswith("internal invariant failure") and err.count("\n") == 1
+
+
+def test_analyze_catches_a_cube_witness_that_is_not_one_cube(tmp_path, capsys, monkeypatch):
+    # a valid square in place of the cube witness: a third of its length is
+    # the longest cube's root, so only the shape check can catch it
+    def square_instead(seq, i, j):
+        return cli.square_witness(seq, i, j), real(seq, i, j)[1]
+
+    real = cli.cube_search
+    monkeypatch.setattr(cli, "cube_search", square_instead)
+    code, out, err = run_cli(capsys, "analyze", write(tmp_path, "seq.txt", "ACGAGCGCAGCGA\n"))
+    assert code == 4 and out == ""
+    assert err == "internal invariant failure: cube witness is not a single exponent-3 block\n"
 
 
 def test_analyze_catches_a_square_witness_one_letter_short(tmp_path, capsys, monkeypatch):

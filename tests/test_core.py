@@ -11,6 +11,7 @@ from subseqrep.core import (
     Sequence,
     SequenceParseError,
     SrsDecomposition,
+    check_decomposition,
     merge_blocks,
     parse_sequence,
     power_root,
@@ -60,8 +61,17 @@ def test_parse_interns_first_appearance():
 
 
 def test_parse_rejects_control_characters():
-    with pytest.raises(SequenceParseError, match="offset 2"):
+    with pytest.raises(SequenceParseError, match="on line 1"):
         parse_sequence("AC\x01GT")
+
+
+def test_parse_reads_lines_headers_and_tabs_as_analyze_does():
+    assert parse_sequence(">h\r\nAC\nGT \n") == parse_sequence("ACGT")
+    assert parse_sequence("ACGT\n") == parse_sequence("ACGT")
+    assert parse_sequence(">only\n").n == 0
+    assert parse_sequence(">h\tx\n\tAC \t\n") == parse_sequence("AC")
+    with pytest.raises(SequenceParseError, match="on line 2"):
+        parse_sequence(">h\nAC\tGT\n")
 
 
 def test_empty_token_rejected():
@@ -127,6 +137,25 @@ def test_validate_srs_rejects_bad_spelling_and_order():
     assert any("strictly increasing" in v for v in validate_srs(s, backwards))
     out = SrsDecomposition((_block(s, "ab", (1, 2), (3, 9)),))
     assert any("out of range" in v for v in validate_srs(s, out))
+
+
+def test_validate_srs_rejects_malformed_blocks():
+    s = parse_sequence("abab")
+    a, b = s.tokens.index("a"), s.tokens.index("b")
+    empty = SrsDecomposition((Block((), 2, ((), ())),))
+    assert validate_srs(s, empty) == ["block 0: empty root"]
+    two_copies = SrsDecomposition((Block((a, b), 3, ((1, 2), (3, 4))),))
+    assert validate_srs(s, two_copies) == ["block 0: 2 copies for exponent 3"]
+    cut_copy = SrsDecomposition((Block((a, b), 2, ((1, 2), (3,))),))
+    assert validate_srs(s, cut_copy) == ["block 0 copy 1: wrong length"]
+
+
+def test_check_decomposition_rejects_the_wrong_length():
+    s = parse_sequence("abab")
+    dec = SrsDecomposition((_block(s, "ab", (1, 2), (3, 4)),))
+    assert check_decomposition(s, dec, 4) is dec
+    with pytest.raises(AssertionError, match=r"^witness length 4 != 6$"):
+        check_decomposition(s, dec, 6)
 
 
 def test_validate_srs_cover_requirement():

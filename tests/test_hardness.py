@@ -8,6 +8,8 @@ from subseqrep.hardness import (
     Assignment,
     Graph,
     GraphFormatError,
+    NegClause,
+    SatInstance,
     assignment_from_coloring,
     brute_force_assignment,
     brute_force_coloring,
@@ -54,6 +56,27 @@ def test_parse_graph():
         parse_graph("nope\n")
     with pytest.raises(GraphFormatError):
         parse_graph("2 1\n0 x\n")
+    for text, message in (
+        ("x 1\n", "non-integer header 'x 1'"),
+        ("-1 0\n", "negative counts in header"),
+        ("2 1\n0\n", "edge line must be 'u v', got '0'"),
+    ):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
+
+def test_validate_sat_instance_names_each_problem():
+    good = NegClause(1, 1, (1, 2), ("vertex", 0, 1, 2))
+    assert validate_sat_instance(SatInstance(3, ((1, 2, 3),), (good,))) == []
+    for plus, neg, problem in (
+        ((1, 2, 4), good, "variable 4 out of range"),
+        ((1, 2, 3), NegClause(2, 1, (1, 2), ()), "negative clause 1 carries index 2"),
+        ((1, 2, 3), NegClause(1, 3, (1, 2), ()), "negative clause 1 has kind 3"),
+        ((1, 2, 3), NegClause(1, 1, (1, 1), ()), "negative clause 1 has bad variables (1, 1)"),
+        ((1, 2, 3), NegClause(1, 1, (1, 4), ()), "negative clause 1 has bad variables (1, 4)"),
+    ):
+        assert problem in validate_sat_instance(SatInstance(3, (plus,), (neg,))), problem
 
 
 def test_sat_counts_k3():

@@ -134,3 +134,11 @@ def test_cube_row_rejects_decreasing_floor():
     s = parse_sequence("abcabcabc")
     with pytest.raises(ValueError):
         _cube_row(s.letters, [None] * s.n, 1, [0, 0, 0, 0, 2, 1, 2, 2, 2])
+
+
+def test_lsrs_rejects_a_cube_table_above_two_thirds_of_the_square_table():
+    s = parse_sequence("abab")
+    q3 = cube_table(s)
+    q3.set(1, 4, 9)
+    with pytest.raises(AssertionError, match=r"^square table below 2/3 of cube table at \(1,4\)$"):
+        lsrs(s, q2=square_table(s), q3=q3)

@@ -13,6 +13,7 @@ from subseqrep.lcs import lcs2_all_prefixes, lcs2_cut_prefixes, lcs3_all_prefixe
 from subseqrep.oracles import oracle_cube_table, oracle_square_table
 from subseqrep.tables import (
     IntervalTable,
+    _check_repeat_table,
     check_no_longer_cube,
     cube_search,
     cube_table,
@@ -57,6 +58,25 @@ def test_interval_table_bounds():
         t.get(0, 3)
     with pytest.raises(IndexError):
         t.get(1, 5)
+    for i, j in ((2, 1), (0, 3), (1, 5)):
+        with pytest.raises(IndexError):
+            t.set(i, j, 2)
+    assert t.rows == IntervalTable(4, "square").rows
+
+
+def test_repeat_table_check_catches_each_broken_invariant():
+    for rows, divisor, message in (
+        ([[0, 3], [0]], 2, r"square table cell \(1,2\) = 3 violates divisibility"),
+        ([[0, 0], [-3]], 3, r"square table cell \(2,2\) = -3 violates divisibility"),
+        ([[2, 0], [0]], 2, r"square table not monotone at \(1,1\)"),
+        ([[0, 0], [2]], 2, r"square table not monotone at \(2,2\)"),
+    ):
+        table = IntervalTable(2, "square")
+        table.rows = rows
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            _check_repeat_table(table, divisor)
+    table.rows = [[2, 2], [2]]
+    _check_repeat_table(table, 2)
 
 
 def test_exhaustive_against_oracle():
