@@ -69,15 +69,21 @@ def parse_sequence(text: str, mode: str = "raw") -> Sequence:
 def _lines(text: str, error: type[ValueError] = SequenceParseError) -> list[str]:
     """The lines of input text, with spaces and tabs trimmed from their ends.
 
-    Every text reader follows this rule: lines break only at \\n, \\r\\n and
+    Every text reader follows this rule: one byte-order mark (U+FEFF) at
+    the start of the text is dropped; lines break only at \\n, \\r\\n and
     \\r, and a field ends only at a space or a tab (``_fields``); raw
     sequence text rejects a tab (``parse_sequence``).  Any other control
-    character raises ``error`` with its line number.
+    character -- C0 (U+0000-U+001F), DEL, C1 (U+0080-U+009F) or the line
+    and paragraph separators U+2028 and U+2029 -- raises ``error`` with
+    its line number.
     """
+    if text.startswith("\ufeff"):
+        text = text[1:]
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for number, line in enumerate(lines, 1):
         for ch in line:
-            if (ord(ch) < 32 and ch != "\t") or ord(ch) == 127:
+            code = ord(ch)
+            if (code < 32 and ch != "\t") or 127 <= code <= 159 or code in (0x2028, 0x2029):
                 raise error(f"control character {ch!r} on line {number}")
     return [line.strip(" \t") for line in lines]
 

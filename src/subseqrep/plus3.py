@@ -20,12 +20,18 @@ solutions and combine bottom-up over splits whose two sides are both
 feasible and jointly cover cover[i,j].  Feasibility of the whole
 sequence is L[1,n] > 0.  Total O(n^4), dominated by the square table.
 
-The split loop of [i, j] reads the left parts [i, k] from row i of L
-and of cover, and the right parts [k+1, j] from two column mirrors:
-cols_l[j-1][k] = L[k+1, j], written whenever a cell of L is set, and
-cols_c[j-1][k] = cover[k+1, j], built once from the cover masks.  One
-zip over the four sequences walks every split in increasing k, with no
-bounds-checked table call per split; the mirrors take O(n^2) ints.
+The split pass fills L row by row, from i = n down to 1 and j upwards,
+so cell [i, j] reads only earlier cells of its own row (left parts
+[i, k]) and later rows (right parts [k+1, j]).  The right lengths come
+from a column mirror, cols_l[j-1][k] = L[k+1, j], written whenever a
+cell of L is set, so one zip walks every split in increasing k with no
+bounds-checked table call; the right cover, cover[k+1, j], is read only
+for splits whose two sides are feasible.  A cell with an empty cover is
+skipped, since no solution there is feasible.  No covering solution of
+[i, j] is longer than its covered-position bound, the span minus the
+letters that occur once in it (counted as j grows), so a cell's scan
+stops once its value reaches that bound.  The scan keeps the first k
+of the best value (strict >), so the trace is the full scan's.
 """
 
 from __future__ import annotations
@@ -179,22 +185,38 @@ def feasibility_tables(
     s3 = s3_table(seq, cov, q2)
     s2 = s2_table(seq, cov, q2)
     rows_c, _, rows_c3 = cov
+    letters = seq.letters
 
     length = IntervalTable(n, "feasible-length", -1)
     rows_l = length.rows
-    # column mirrors: cols_l[j - 1][k] = L[k + 1, j], cols_c[j - 1][k] = cover[k + 1, j]
+    # column mirror: cols_l[j - 1][k] = L[k + 1, j]
     cols_l = [[-1] * j for j in range(1, n + 1)]
-    cols_c = [[rows_c[k][j - k - 1] for k in range(j)] for j in range(1, n + 1)]
     trace: dict = {}
-    for span in range(2, n + 1):
-        for i in range(1, n - span + 2):
-            j = i + span - 1
-            d = span - 1
-            v3 = s3.rows[i - 1][d]
-            v2 = s2.rows[i - 1][d]
+    for i in range(n, 0, -1):
+        row_l = rows_l[i - 1]
+        row_c = rows_c[i - 1]
+        row_c3 = rows_c3[i - 1]
+        row_s3 = s3.rows[i - 1]
+        row_s2 = s2.rows[i - 1]
+        counts = [0] * seq.alphabet_size
+        singles = 0  # letters occurring once in S[i..j]
+        for j in range(i, n + 1):
+            a = letters[j - 1]
+            c = counts[a]
+            counts[a] = c + 1
+            if c == 0:
+                singles += 1
+            elif c == 1:
+                singles -= 1
+            d = j - i
+            whole = row_c[d]
+            if not whole:
+                continue
+            v3 = row_s3[d]
+            v2 = row_s2[d]
             if v3 > 0:
                 best = v3
-                is_cube = v3 == 3 * rows_c3[i - 1][d].bit_count()
+                is_cube = v3 == 3 * row_c3[d].bit_count()
                 kind: tuple = ("cube3",) if is_cube else ("square3",)
             elif v2 > 0:
                 best = v2
@@ -202,25 +224,29 @@ def feasibility_tables(
             else:
                 best = -1
                 kind = ()
-            row_c = rows_c[i - 1]
-            whole = row_c[d]
-            # split k: left part [i, k] from row i, right part [k + 1, j] from column j
-            for k, left, right, left_mask, right_mask in zip(
-                range(i, j), rows_l[i - 1], cols_l[j - 1][i:], row_c, cols_c[j - 1][i:]
-            ):
-                if left <= 0 or right <= 0:
-                    continue
-                if left_mask | right_mask != whole:
-                    continue
-                if left_mask & right_mask:
-                    raise AssertionError(
-                        "repeat sets of split parts must be disjoint at bound 3"
-                    )
-                if left + right > best:
-                    best = left + right
-                    kind = ("split", k)
+            # no covering solution uses a position whose letter occurs once
+            bound = d + 1 - singles
+            if best < bound:
+                # split k: left part [i, k] from row i, right part [k + 1, j]
+                # from column j; both were set before this cell
+                for k, left, right in zip(range(i, j), row_l, cols_l[j - 1][i:]):
+                    if left <= 0 or right <= 0:
+                        continue
+                    left_mask = row_c[k - i]
+                    right_mask = rows_c[k][j - k - 1]
+                    if left_mask | right_mask != whole:
+                        continue
+                    if left_mask & right_mask:
+                        raise AssertionError(
+                            "repeat sets of split parts must be disjoint at bound 3"
+                        )
+                    if left + right > best:
+                        best = left + right
+                        kind = ("split", k)
+                        if best == bound:
+                            break
             if best > 0:
-                rows_l[i - 1][d] = best
+                row_l[d] = best
                 cols_l[j - 1][i - 1] = best
                 trace[(i, j)] = kind
     return FeasibilityTables(s2, s3, length, trace)

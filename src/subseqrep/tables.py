@@ -11,6 +11,16 @@ suffix, so a single DP pass fills a whole row of end points:
 
 That is O(n^4) total for squares and O(n^6) for cubes in the worst case.
 
+A square row built without kept vectors (no ``pre``, see below) runs
+each cut only over the end points it can still raise: LCS(S[s..m],
+S[m+1..j]) is at most B(s, m), the sum over letters of min(count in
+S[s..m], count in S[m+1..n]), and the row never decreases along j, so
+cut m stops at the first end point whose cell already holds 2*B(s, m),
+and is skipped when that is its first.  B moves by at most one per
+cut, so it costs O(1) to track.  With ``pre`` every cut runs to the
+end of the row, because the cube rows and witnesses read its whole
+vector.
+
 The cube table skips a cut pair's 3-way DP when proven bounds show it
 cannot raise any cell of its row (bound-and-skip), so it equals the
 unpruned search.  For a = S[s..c1], b = S[c1+1..c2], c = S[c2+1..]:
@@ -70,6 +80,8 @@ memory O(n^2).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .core import Block, Sequence, SrsDecomposition, check_decomposition
 from .lcs import (
     lcs2_all_prefixes,
@@ -115,23 +127,49 @@ class IntervalTable:
         )
 
 
-def _square_row(letters: tuple[int, ...], s: int, pre: list | None = None) -> list[int]:
+def _square_row(
+    letters: tuple[int, ...], s: int, pre: list | None, counts: list[int]
+) -> list[int]:
     """Row s of the square table: Q2[s, j] at index j - s.
 
     With ``pre`` the cut vectors of start s come from, and stay in,
-    ``pre[s - 1]`` (see ``_cut_vectors``); without it each cut runs its
-    own 2-way pass and nothing is kept.
+    ``pre[s - 1]`` (see ``_cut_vectors``), and every cut covers the whole
+    row: the cube rows and witnesses read the whole vectors, so a cut
+    cannot stop early.  Without it each cut runs its own 2-way pass only
+    up to the first end point that already holds 2*B(s, m) (see the
+    module docstring) and nothing is kept; ``counts[a]`` is then the
+    number of times letter a occurs in S[s..n], and is not changed.
     """
     n = len(letters)
     best = [0] * (n - s + 1)
-    vectors = None if pre is None else _cut_vectors(pre, letters, s - 1)
+    if pre is None:
+        right = list(counts)
+        left = [0] * len(right)
+        bound = 0  # 2 * B(s, m)
+    else:
+        vectors = _cut_vectors(pre, letters, s - 1)
     for m in range(s, n):
-        if vectors is None:
-            f = lcs2_all_prefixes(letters[s - 1 : m], letters[m:])
-        else:
-            f = vectors[m - s]
         base = m - s
-        for k in range(1, n - m + 1):
+        if pre is None:
+            # S[m] moves to the left part: its letter's min(held, rest)
+            # becomes min(held + 1, rest - 1)
+            x = letters[m - 1]
+            held = left[x]
+            rest = right[x]
+            if held < rest - 1:
+                bound += 2
+            elif held >= rest:
+                bound -= 2
+            left[x] = held + 1
+            right[x] = rest - 1
+            stop = bisect_left(best, bound, base + 1)
+            if stop == base + 1:
+                continue
+            f = lcs2_all_prefixes(letters[s - 1 : m], letters[m : m + stop - base - 1])
+        else:
+            f = vectors[base]
+            stop = n - s + 1
+        for k in range(1, stop - base):
             v = f[k]
             if v:
                 v += v
@@ -249,8 +287,14 @@ def square_table(
     ``threads`` is accepted for compatibility and has no effect.
     """
     letters = seq.letters
+    counts = [0] * seq.alphabet_size
+    for x in letters:
+        counts[x] += 1
     table = IntervalTable(seq.n, "square")
-    table.rows = [_square_row(letters, s, pre) for s in range(1, seq.n + 1)]
+    rows = table.rows = []
+    for s, x in enumerate(letters, 1):
+        rows.append(_square_row(letters, s, pre, counts))
+        counts[x] -= 1
     _check_repeat_table(table, 2)
     return table
 

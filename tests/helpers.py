@@ -44,6 +44,23 @@ def random_bound3_string(rng: random.Random, max_n: int, min_n: int = 2) -> str:
     return "".join(pool)
 
 
+def planted_bound3_string(rng: random.Random, n: int) -> str:
+    """Concatenated blocks X^2 and X^3, each X of fresh distinct letters.
+
+    Every letter occurs 2 or 3 times and the whole string covers itself,
+    so it is feasible for ``lsrs_plus3``; n must not be 1.
+    """
+    out: list[str] = []
+    fresh = 0
+    while len(out) < n:
+        left = n - len(out)
+        shapes = [(r, e) for e in (2, 3) for r in range(1, 5) if r * e <= left and left - r * e != 1]
+        r, e = rng.choice(shapes)
+        out += [chr(0x100 + fresh + k) for k in range(r)] * e
+        fresh += r
+    return "".join(out)
+
+
 def seq(text: str):
     return parse_sequence(text)
 

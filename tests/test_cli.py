@@ -107,6 +107,28 @@ def test_raw_input_breaks_lines_only_at_newlines(capsys, monkeypatch):
         assert json.loads(out)["input"] == {"n": 4, "alphabet": 4, "max_occurrence": 1}
 
 
+def test_a_leading_byte_order_mark_is_not_a_letter(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfACGT\n")
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["input"] == {"n": 4, "alphabet": 4, "max_occurrence": 1}
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf>h\nACGT\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, _ = run_cli(capsys, "analyze", "-")
+    assert code == 0
+    assert json.loads(out)["input"] == {"n": 4, "alphabet": 4, "max_occurrence": 1}
+
+
+def test_c1_controls_and_unicode_separators_are_input_errors(capsys, monkeypatch):
+    for ch in ("\x85", "\x80", "\x9f", "\u2028", "\u2029"):
+        stdin = io.TextIOWrapper(io.BytesIO(f"AC{ch}GT\n".encode()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "analyze", "-")
+        assert code == 2 and out == "", repr(ch)
+        assert err == f"input error: control character {ch!r} on line 1\n", err
+
+
 def test_a_tab_in_a_raw_line_is_named_by_its_line(capsys, monkeypatch):
     for text, line in ((">h\nAC\tGT\n", 2), ("é\tA\n", 1)):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))

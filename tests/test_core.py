@@ -74,6 +74,25 @@ def test_parse_reads_lines_headers_and_tabs_as_analyze_does():
         parse_sequence(">h\nAC\tGT\n")
 
 
+def test_parse_drops_one_leading_byte_order_mark():
+    assert parse_sequence("\ufeffACGT\n") == parse_sequence("ACGT")
+    assert parse_sequence("\ufeff>h\nAC\n") == parse_sequence("AC")
+    assert parse_sequence("\ufeffa b a", "tokens") == parse_sequence("a b a", "tokens")
+    # only the first one, and only at the start of the text
+    assert parse_sequence("\ufeff\ufeffAC").n == 3
+    assert parse_sequence("A\ufeffC").n == 3
+
+
+@pytest.mark.parametrize("ch", ["\x80", "\x85", "\x9f", "\u2028", "\u2029"])
+def test_parse_rejects_c1_controls_and_unicode_separators(ch):
+    for mode in ("raw", "tokens"):
+        with pytest.raises(SequenceParseError) as info:
+            parse_sequence(f">h\nAC{ch}GT\n", mode)
+        assert str(info.value) == f"control character {ch!r} on line 2"
+    # the letters on either side of the range are letters
+    assert parse_sequence("A\x7e\xa0\u2027\u202a").n == 5
+
+
 def test_empty_token_rejected():
     with pytest.raises(SequenceParseError, match="index 1"):
         sequence_from_tokens(["a", ""])
