@@ -155,7 +155,8 @@ def analyze_report(seq: Sequence) -> dict:
     and ``lsrs``'s cube rows read; the witnesses build their own.  Every
     solver validates the witness it returns, so the cube witness bounds
     the longest cube from below; ``check_no_longer_cube`` bounds it from
-    above with the 3-way values the witness's search ran.  Raises
+    above with the values the witness's search settled, each cut pair's
+    root or a threshold its kernel proved the root does not exceed.  Raises
     AssertionError when a witness fails its solver's validation, when
     the square witness is not Q2[1, n] long or the cube witness is not
     one exponent-3 block, or when the cube check fails.

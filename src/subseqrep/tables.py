@@ -60,14 +60,30 @@ bound or LCS(b, c), so a pair whose (bound, -c1, -c2) or (LCS(b, c),
 any later pair of the same bound (their keys fall along the list) or of
 a lower bound once that bound is below the best root.
 
-So the search runs the 3-way DP of every pair whose LCS(a, b), LCS(a, c)
-and LCS(b, c) all exceed the root it returns, and ``cube_search`` hands
-back those values.  ``check_no_longer_cube`` proves the root of the
-whole sequence longest from them: it reads the three pairwise values of
-every cut pair, and a pair that clears the root on all three must have
-run, with a value no longer than the root.  Any longer root lies in
-such a pair, so the check holds whatever order, stop test or screens
-the search uses; like the search, it trusts the 3-way engine.
+A pair that passes those tests runs no 3-way DP.  It only needs to know
+whether its root beats the best key, and the root when it does, so it
+asks a threshold kernel (``_CutPairKernel``) whether LCS(a, b, c)
+exceeds t: the best root, or one less when the pair's cuts come first
+at a tie.  The kernel grows levels of Pareto-minimal match states, the
+dominant points of Hakata & Imai (ISAAC 1992), through a next-occurrence
+table, and drops every state whose depth plus the pairwise suffix bound
+of Wang, Korkin & Shang (IEEE TKDE 2011) does not exceed t.  Those
+bounds, the LCS(a, c) of the bucketing and the LCS(b, c) test all read
+one family of bit-parallel rows, built on first use and kept for the
+one search.  The rows run the private ``_bit_parallel_row`` directly,
+so the ``lcs`` call counts of a trace do not see them, as they do not
+see the rows inside ``lcs2_cut_prefixes``.
+
+So the search settles every pair whose LCS(a, b), LCS(a, c) and
+LCS(b, c) all exceed the root it returns, and ``cube_search`` hands back
+for each either its root or the threshold the kernel proved it does not
+exceed: a value at least the pair's root and at most the returned one.
+``check_no_longer_cube`` proves the root of the whole sequence longest
+from them: it reads the three pairwise values of every cut pair, and a
+pair that clears the root on all three must have been settled, with a
+value no longer than the root.  Any longer root lies in such a pair, so
+the check holds whatever order, stop test or screens the search uses;
+like the search, it trusts the kernel.
 
 The prefix vectors pre[s] are ``lcs2_cut_prefixes(letters, s)``, the
 same 2-way rows the square table computes.  ``square_table`` stores them
@@ -84,6 +100,7 @@ from bisect import bisect_left
 
 from .core import Block, Sequence, SrsDecomposition, check_decomposition
 from .lcs import (
+    _bit_parallel_row,
     lcs2_all_prefixes,
     lcs2_cut_prefixes,
     lcs2_witness,
@@ -378,18 +395,22 @@ def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
 def cube_search(
     seq: Sequence, i: int, j: int
 ) -> tuple[SrsDecomposition | None, dict[tuple[int, int], int]]:
-    """``cube_witness(seq, i, j)`` and the 3-way values its search ran.
+    """``cube_witness(seq, i, j)`` and the values its search settled.
 
-    The dict maps each cut pair (c1, c2) whose 3-way DP ran to
-    LCS(S[i..c1], S[c1+1..c2], S[c2+1..j]); ``check_no_longer_cube``
-    reads it to prove the witness of the whole sequence longest.  The
-    witness is validated (``check_decomposition``, length included)
-    before it is returned.
+    The dict maps each cut pair (c1, c2) the search put to the threshold
+    kernel to LCS(S[i..c1], S[c1+1..c2], S[c2+1..j]) when the kernel
+    returned it, and otherwise to the threshold the kernel proved it does
+    not exceed.  Either value is at least the pair's LCS and at most the
+    returned root, and the winning pair's value is that root;
+    ``check_no_longer_cube`` reads the dict to prove the witness of the
+    whole sequence longest.  The witness is validated
+    (``check_decomposition``, length included) before it is returned.
     """
     _bounds_check(seq, i, j)
     letters = seq.letters
     # ab_rows[c1 - i][c2 - c1] = LCS(a, S[c1+1..c2]), every c1 in one pass
     ab_rows = lcs2_cut_prefixes(letters[:j], i - 1)
+    kernel = _CutPairKernel(letters[i - 1 : j])
     # pairs[r]: the cut pairs with bound min(LCS(a, b), LCS(a, c)) = r > 0,
     # in (c1, c2) order, with ac[j - c2] = LCS(a, S[c2+1..j]); no bound
     # exceeds a third of the interval.  The lists run c1, c2, c1, c2, ...:
@@ -397,7 +418,7 @@ def cube_search(
     pairs = [[] for _ in range((j - i + 1) // 3 + 1)]
     for c1 in range(i, j - 1):
         ab = ab_rows[c1 - i]
-        ac = lcs2_all_prefixes(letters[i - 1 : c1][::-1], letters[c1:j][::-1])
+        ac = kernel.row(c1 - i + 1, 0)
         bounds = map(min, ab[1 : j - c1], ac[j - c1 - 1 : 0 : -1])
         for c2, r in enumerate(bounds, c1 + 1):
             if r:
@@ -414,12 +435,19 @@ def cube_search(
             # keys fall along the list, and no root exceeds its bound
             if (bound, -c1, -c2) <= best:
                 break
-            b = letters[c1:c2]
-            c = letters[c2:j]
-            if (lcs2_all_prefixes(b, c)[-1], -c1, -c2) <= best:
+            cut1 = c1 - i + 1
+            cut2 = c2 - i + 1
+            # LCS(b, c)
+            if (kernel.row(cut2, cut1)[j - c2], -c1, -c2) <= best:
                 continue
-            root = runs[c1, c2] = lcs3_all_prefixes(letters[i - 1 : c1], b, c)[-1]
-            if (root, -c1, -c2) > best:
+            # the root this pair must exceed to win: one less than the
+            # best root when the pair's cuts come first at a tie
+            t = best[0] - 1 if (best[0], -c1, -c2) > best else best[0]
+            root = kernel.above(cut1, cut2, t)
+            if root is None:
+                runs[c1, c2] = t
+            else:
+                runs[c1, c2] = root
                 best = (root, -c1, -c2)
     if best == (0, 0):
         return None, runs
@@ -436,6 +464,108 @@ def cube_search(
     return check_decomposition(seq, dec, 3 * best[0]), runs
 
 
+class _CutPairKernel:
+    """LCS(w[:cut1], w[cut1:cut2], w[cut2:]) of one word w, above a threshold.
+
+    Positions are 0-based in w (``cube_search`` passes S[i..j]).  The
+    state is built once per search and read by every cut pair of it:
+
+      - ``nexts``, one list per letter that occurs 3 times or more in w
+        (no other can be in a common subsequence of a, b and c): nxt[u]
+        is the first position >= u that holds the letter, or len(w) if
+        none does;
+      - ``masks[x]`` has bit len(w) - 1 - u set wherever w[u] == x;
+      - ``row(end, start)[k]`` = LCS(w[start:end], w[len(w) - k:]) for
+        0 <= k <= len(w) - end, one bit-parallel row built on first use
+        and kept.  With end = cut1 it bounds the rest of a against the
+        rest of c, with end = cut2 the rest of b against it.
+    """
+
+    __slots__ = ("size", "nexts", "masks", "rev", "rows")
+
+    def __init__(self, w: tuple[int, ...]):
+        size = self.size = len(w)
+        masks = self.masks = {}
+        for u, x in enumerate(w):
+            masks[x] = masks.get(x, 0) | 1 << (size - 1 - u)
+        self.nexts = []
+        for x, m in masks.items():
+            if m.bit_count() < 3:
+                continue
+            nxt = [size] * (size + 1)
+            for u in range(size - 1, -1, -1):
+                nxt[u] = u if w[u] == x else nxt[u + 1]
+            self.nexts.append(nxt)
+        self.rev = w[::-1]
+        # rows[end][start], None until built
+        self.rows = [[None] * (end + 1) for end in range(size + 1)]
+
+    def _build(self, end: int, start: int) -> list[int]:
+        shift = self.size - end
+        full = (1 << (end - start)) - 1
+        # the word is w[start:end] reversed, matched against w[end:] reversed
+        match = {x: (m >> shift) & full for x, m in self.masks.items()}
+        row = self.rows[end][start] = _bit_parallel_row(end - start, match, self.rev[:shift])
+        return row
+
+    def row(self, end: int, start: int) -> list[int]:
+        return self.rows[end][start] or self._build(end, start)
+
+    def above(self, cut1: int, cut2: int, t: int) -> int | None:
+        """The 3-way LCS of the cut pair if it exceeds t, else None.
+
+        Level d holds the Pareto-minimal states (p, q, r) reached by a
+        common subsequence of length d: the next unread positions in a,
+        b and c (Hakata & Imai's dominant points).  A state is stepped by
+        each letter to its next occurrence in all three parts, and kept
+        only if d plus min(LCS(a[p:], c[r:]), LCS(b[q:], c[r:])) exceeds
+        t (the pairwise suffix bound of Wang, Korkin & Shang).  A state
+        on a longest path is kept or dominated by a kept one whenever
+        that LCS exceeds t, so the last non-empty level is the LCS then,
+        and at most t otherwise.
+        """
+        last = self.size - 1
+        a_rows = self.rows[cut1]
+        b_rows = self.rows[cut2]
+        build = self._build
+        nexts = self.nexts
+        level = [(0, cut1, cut2)]
+        depth = 0
+        while level:
+            depth += 1
+            grown = []
+            for p, q, r in level:
+                for nxt in nexts:
+                    p1 = nxt[p]
+                    if p1 >= cut1:
+                        continue
+                    q1 = nxt[q]
+                    if q1 >= cut2:
+                        continue
+                    r1 = nxt[r]
+                    if r1 > last:
+                        continue
+                    k = last - r1
+                    p1 += 1
+                    q1 += 1
+                    if depth + (a_rows[p1] or build(cut1, p1))[k] <= t:
+                        continue
+                    if depth + (b_rows[q1] or build(cut2, q1))[k] <= t:
+                        continue
+                    grown.append((p1, q1, r1 + 1))
+            grown.sort()
+            level = []
+            for state in grown:
+                _, q, r = state
+                for _, q0, r0 in level:
+                    if q0 <= q and r0 <= r:
+                        break
+                else:
+                    level.append(state)
+        depth -= 1
+        return depth if depth > t else None
+
+
 def check_no_longer_cube(
     seq: Sequence, root: int, runs: dict[tuple[int, int], int], pre: list
 ) -> None:
@@ -445,7 +575,9 @@ def check_no_longer_cube(
     sequence's cut-vector list (see ``_cut_vectors``).  A longer root
     lies in a cut pair whose LCS(a, b), LCS(a, c) and LCS(b, c) all
     exceed ``root``; every such pair must be in ``runs`` with a value of
-    at most ``root`` (see the module docstring).
+    at most ``root``.  Each value is the pair's root or a threshold the
+    kernel proved it does not exceed, so either bounds the pair's root
+    (see the module docstring).
     """
     letters = seq.letters
     n = len(letters)

@@ -797,11 +797,15 @@ def test_closed_stdout_exits_141_without_traceback():
 
 def test_ctrl_c_during_cube_table_exits_130_with_one_line(tmp_path):
     # Ctrl-C signals the whole process group; the cube table is built in
-    # the CLI process, which must exit 130 and leave no process behind
+    # the CLI process, which must exit 130 and leave no process behind.
+    # A terminal delivers SIGINT with its default action, but a background
+    # job of a non-interactive shell starts with it ignored, and the CLI
+    # keeps an inherited ignore, so the child restores the default first.
     path = write(tmp_path, "seq.txt", _bench_input("q3", 64, 0).render("") + "\n")
     proc = subprocess.Popen(
         CLI + ["tables", "--which", "q3", path], stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE, text=True, env=_cli_env(), start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         time.sleep(0.6)  # the n = 64 cube table takes seconds; by now it is running

@@ -14,6 +14,7 @@ from subseqrep.oracles import oracle_cube_table, oracle_square_table
 from subseqrep.tables import (
     IntervalTable,
     _check_repeat_table,
+    _CutPairKernel,
     check_no_longer_cube,
     cube_search,
     cube_table,
@@ -309,6 +310,84 @@ def test_cube_check_catches_a_missing_pair_and_a_short_root():
             with pytest.raises(AssertionError, match=f"its root is {root}"):
                 check_no_longer_cube(seq, root - 1, runs, pre)
     assert dropped
+
+
+def test_threshold_kernel_matches_the_3way_dp():
+    # LCS(a, b, c) when it exceeds t and None otherwise, at every t from
+    # -1 to LCS + 1; one kernel serves several cut pairs, as in a search,
+    # so its cached rows are shared among them
+    rng = random.Random(30)
+    words = []
+    for _ in range(800):
+        sigma = rng.randint(1, 4)
+        words.append(tuple(rng.randrange(sigma) for _ in range(rng.randint(3, 20))))
+    words += [(0,) * n for n in range(3, 21)]  # unary
+    words += [tuple(range(n)) for n in range(3, 21)]  # all distinct
+    triples = 0
+    for w in words:
+        n = len(w)
+        kernel = _CutPairKernel(w)
+        for _ in range(2):
+            c1 = rng.randint(1, n - 2)
+            c2 = rng.randint(c1 + 1, n - 1)
+            lcs = lcs3_all_prefixes(w[:c1], w[c1:c2], w[c2:])[-1]
+            for t in range(-1, lcs + 2):
+                assert kernel.above(c1, c2, t) == (lcs if lcs > t else None), (w, c1, c2, t)
+            triples += 1
+            # row(end, start)[k] = LCS(w[start:end], w[n - k:])
+            end = rng.randint(0, n)
+            start = rng.randint(0, end)
+            want = lcs2_all_prefixes(w[start:end][::-1], w[end:][::-1])
+            assert kernel.row(end, start) == want, (w, end, start)
+    assert triples >= 1500
+
+
+def test_threshold_kernel_keeps_no_state_at_its_bound():
+    # a successor's bound is at least one below its parent's, so at t =
+    # min(LCS(a, c), LCS(b, c)) every level-1 state fails the keep test,
+    # and the only rows built are the bounds of level 1's states
+    rng = random.Random(32)
+    for _ in range(300):
+        w = tuple(rng.randrange(rng.randint(1, 4)) for _ in range(rng.randint(3, 20)))
+        n = len(w)
+        c1 = rng.randint(1, n - 2)
+        c2 = rng.randint(c1 + 1, n - 1)
+        t = min(lcs2_all_prefixes(x, w[c2:])[-1] for x in (w[:c1], w[c1:c2]))
+        kernel = _CutPairKernel(w)
+        assert kernel.above(c1, c2, t) is None
+        # a level-1 state reads rows (c1, p + 1) and (c2, q + 1), where p
+        # and q are a letter's first positions in a and in b
+        for end, first in ((c1, w[:c1].index), (c2, lambda x: c1 + w[c1:c2].index(x))):
+            level1 = {first(x) + 1 for x in set(w[:c1]) & set(w[c1:c2])}
+            built = {start for start, row in enumerate(kernel.rows[end]) if row}
+            assert built <= level1, (w, c1, c2)
+
+
+def test_cube_search_runs_hold_a_root_or_a_proven_threshold():
+    # every settled pair's value lies between its LCS and the returned
+    # root, and the winning pair, the first in index order to reach the
+    # root, holds the root itself
+    rng = random.Random(31)
+    texts = [random_string(rng, 24, sigma=s, min_n=8) for s in (1, 2, 3, 4) for _ in range(5)]
+    texts += ["ACGAGCGCAGCGA", "abc" * 8, "aab" * 8]
+    for text in texts:
+        seq = parse_sequence(text)
+        letters = seq.letters
+        n = seq.n
+        for i, j in [(1, n)] + [tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(2)]:
+            wit, runs = cube_search(seq, i, j)
+            root = len(wit.blocks[0].root) if wit else 0
+            lcs = {
+                (c1, c2): lcs3_all_prefixes(letters[i - 1 : c1], letters[c1:c2], letters[c2:j])[-1]
+                for c1 in range(i, j - 1)
+                for c2 in range(c1 + 1, j)
+            }
+            for pair, v in runs.items():
+                assert lcs[pair] <= v <= root, (text, i, j, pair)
+            if wit:
+                first = min(pair for pair, v in lcs.items() if v == root)
+                assert runs[first] == root, (text, i, j)
+                assert wit == cube_block(letters, i, j, *first)
 
 
 def _best_first_cases():
