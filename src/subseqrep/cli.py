@@ -155,11 +155,11 @@ def analyze_report(seq: Sequence) -> dict:
     and ``lsrs``'s cube rows read; the witnesses build their own.  Every
     solver validates the witness it returns, so the cube witness bounds
     the longest cube from below; ``check_no_longer_cube`` bounds it from
-    above with the values the witness's search settled, each cut pair's
-    root or a threshold its kernel proved the root does not exceed.  Raises
-    AssertionError when a witness fails its solver's validation, when
-    the square witness is not Q2[1, n] long or the cube witness is not
-    one exponent-3 block, or when the cube check fails.
+    above with the threshold kernel the witness's search built, which is
+    dropped before ``lsrs`` runs.  Raises AssertionError when a witness
+    fails its solver's validation, when the square witness is not
+    Q2[1, n] long or the cube witness is not one exponent-3 block, or
+    when the cube check fails.
     """
     n = seq.n
     pre = [None] * n
@@ -169,7 +169,7 @@ def analyze_report(seq: Sequence) -> dict:
     sq_len = q2.get(1, n) if n else 0
     t0 = time.perf_counter()
     sq_wit = square_witness(seq, 1, n) if sq_len else None
-    cu_wit, cu_runs = cube_search(seq, 1, n) if n else (None, {})
+    cu_wit, kernel = cube_search(seq, 1, n) if n else (None, None)
     witnesses_ms = _ms_since(t0)
     got = sq_wit.total_length if sq_wit else 0
     if got != sq_len:
@@ -178,7 +178,8 @@ def analyze_report(seq: Sequence) -> dict:
         raise AssertionError("cube witness is not a single exponent-3 block")
     cu_len = cu_wit.total_length if cu_wit else 0
     t0 = time.perf_counter()
-    check_no_longer_cube(seq, cu_len // 3, cu_runs, pre)
+    check_no_longer_cube(seq, cu_len // 3, kernel, pre)
+    del kernel  # its rows are O(n^3) ints
     timing = {"square": square_ms, "cube": _ms_since(t0), "witnesses": witnesses_ms}
     max_occurrence = max(Counter(seq.letters).values(), default=0)
     report = {

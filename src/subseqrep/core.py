@@ -169,14 +169,21 @@ def validate_srs(
 
     Returns a list of violation messages; an empty list means the
     decomposition is a well-formed canonical repeat subsequence of
-    ``seq`` covering every letter in ``require_cover``.
+    ``seq`` covering every letter in ``require_cover``.  A letter id
+    outside ``range(seq.alphabet_size)`` or a position that is not an
+    int is reported, not raised on.
     """
     violations: list[str] = []
     n = seq.n
+    size = seq.alphabet_size
     last_pos = 0
     for bi, block in enumerate(dec.blocks):
         if not block.root:
             violations.append(f"block {bi}: empty root")
+            continue
+        outside = [x for x in block.root if not _is_letter_id(x, size)]
+        if outside:
+            violations.append(f"block {bi}: root letter {outside[0]!r} outside the alphabet")
             continue
         if block.exponent < 2:
             violations.append(f"block {bi}: exponent<2 (got {block.exponent})")
@@ -189,6 +196,9 @@ def validate_srs(
                 violations.append(f"block {bi} copy {ci}: wrong length")
                 continue
             for pos, want in zip(copy, block.root):
+                if not isinstance(pos, int):
+                    violations.append(f"block {bi} copy {ci}: position {pos!r} is not an int")
+                    break
                 if not 1 <= pos <= n:
                     violations.append(f"block {bi} copy {ci}: position {pos} out of range")
                     break
@@ -206,10 +216,17 @@ def validate_srs(
                 last_pos = pos
         if bi > 0 and dec.blocks[bi - 1].root == block.root:
             violations.append(f"block {bi}: adjacent equal roots")
-    covered = dec.letter_set()
-    for letter in sorted(set(require_cover) - covered):
+    wanted = set(require_cover)
+    outside = {x for x in wanted if not _is_letter_id(x, size)}
+    for letter in sorted(outside, key=repr):
+        violations.append(f"required letter {letter!r} outside the alphabet")
+    for letter in sorted(wanted - outside - dec.letter_set()):
         violations.append(f"missing required letter {seq.tokens[letter]!r}")
     return violations
+
+
+def _is_letter_id(x, size: int) -> bool:
+    return isinstance(x, int) and 0 <= x < size
 
 
 def check_decomposition(

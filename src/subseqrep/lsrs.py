@@ -38,7 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Sequence, SrsDecomposition, check_decomposition, merge_blocks
-from .tables import IntervalTable, _cube_row, cube_witness, square_table, square_witness
+from .tables import (
+    IntervalTable,
+    _check_given_table,
+    _cube_row,
+    cube_witness,
+    square_table,
+    square_witness,
+)
 
 
 @dataclass(frozen=True)
@@ -62,22 +69,28 @@ def lsrs(
     witness is deterministic.  Blocks whose table entry is 0 are never
     materialized; such a j only forwards L(j).  Without ``q3`` only the
     cube cells the DP can pick are built; a ``q3`` passed in is read as
-    it is.  ``pre`` is the sequence's cut-vector list, as ``square_table``
-    fills it (``analyze`` passes the one its cube check reads); the
-    targeted cube rows read it, and without it they share one of their
-    own.  The interval witnesses of the traceback take no shared state.
-    Each block is validated by the witness function that builds it and
-    the merged decomposition once more, because only the second check
-    sees the order across blocks, merged equal roots and the total length.
-    ``threads`` is accepted for compatibility and has no effect.
+    it is.  ``q2`` and ``q3`` must be the square and cube tables of
+    ``seq``: one of another kind or length raises ValueError, and one of
+    another sequence is caught only when the traceback picks a cell whose
+    witness does not match it (AssertionError).  ``pre`` is the
+    sequence's cut-vector list, as ``square_table`` fills it (``analyze``
+    passes the one its cube check reads); the targeted cube rows read it,
+    and without it they share one of their own.  The interval witnesses
+    of the traceback take no shared state.  Each block is validated by
+    the witness function that builds it and the merged decomposition
+    once more, because only the second check sees the order across
+    blocks, merged equal roots and the total length.  ``threads`` is
+    accepted for compatibility and has no effect.
     """
     n = seq.n
     if pre is None:
         pre = [None] * n
     if q2 is None:
         q2 = square_table(seq, pre=pre)
+    _check_given_table(seq, q2, "square")
     rows2 = q2.rows
     if q3 is not None:
+        _check_given_table(seq, q3, "cube")
         rows3 = q3.rows
         for s in range(1, n + 1):
             _check_two_thirds(rows2[s - 1], rows3[s - 1], s)
@@ -122,11 +135,11 @@ def lsrs(
     i = n
     while i >= 2:
         j, kind = picks[i]
-        if kind == "square":
-            wit = square_witness(seq, j + 1, i)
-            blocks.append(wit.blocks[0])
-        elif kind == "cube":
-            wit = cube_witness(seq, j + 1, i)
+        if kind is not None:
+            witness, rows = (square_witness, rows2) if kind == "square" else (cube_witness, rows3)
+            wit = witness(seq, j + 1, i)
+            if wit is None or wit.total_length != rows[j][i - j - 1]:
+                raise AssertionError(f"{kind} witness does not match table cell ({j + 1},{i})")
             blocks.append(wit.blocks[0])
         i = j
     blocks.reverse()

@@ -47,7 +47,7 @@ from .core import (
     check_decomposition,
     merge_blocks,
 )
-from .tables import IntervalTable, square_table, square_witness
+from .tables import IntervalTable, _check_given_table, square_table, square_witness
 
 
 # cover / cover2 / cover3 bitmask rows, ``masks[t][i - 1][j - i]``
@@ -177,11 +177,17 @@ def s2_table(seq: Sequence, cov: _Masks, q2: IntervalTable) -> IntervalTable:
 def feasibility_tables(
     seq: Sequence, q2: IntervalTable | None = None
 ) -> FeasibilityTables:
-    """Interval DP over covering solutions; trace records how each cell was won."""
+    """Interval DP over covering solutions; trace records how each cell was won.
+
+    ``q2`` must be the square table of ``seq``: one of another kind or
+    length raises ValueError.  One of another sequence is not caught
+    here, and may make ``lsrs_plus3`` report infeasible.
+    """
     cov = coverage_tables(seq)  # rejects a letter beyond 3 before the square table
     n = seq.n
     if q2 is None:
         q2 = square_table(seq)
+    _check_given_table(seq, q2, "square")
     s3 = s3_table(seq, cov, q2)
     s2 = s2_table(seq, cov, q2)
     rows_c, _, rows_c3 = cov
@@ -283,7 +289,8 @@ def lsrs_plus3(seq: Sequence, q2: IntervalTable | None = None) -> Plus3Result:
     """Longest repeat subsequence covering the whole alphabet, at occurrence bound 3.
 
     Returns infeasible (length -1) when any letter occurs exactly once
-    or when no covering solution exists.
+    or when no covering solution exists.  ``q2``, when given, must be
+    the square table of ``seq`` (see ``feasibility_tables``).
     """
     index = precheck(seq)
     n = seq.n

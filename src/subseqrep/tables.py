@@ -74,16 +74,14 @@ one search.  The rows run the private ``_bit_parallel_row`` directly,
 so the ``lcs`` call counts of a trace do not see them, as they do not
 see the rows inside ``lcs2_cut_prefixes``.
 
-So the search settles every pair whose LCS(a, b), LCS(a, c) and
-LCS(b, c) all exceed the root it returns, and ``cube_search`` hands back
-for each either its root or the threshold the kernel proved it does not
-exceed: a value at least the pair's root and at most the returned one.
 ``check_no_longer_cube`` proves the root of the whole sequence longest
-from them: it reads the three pairwise values of every cut pair, and a
-pair that clears the root on all three must have been settled, with a
-value no longer than the root.  Any longer root lies in such a pair, so
-the check holds whatever order, stop test or screens the search uses;
-like the search, it trusts the kernel.
+with the same kernel.  Any longer root lies in a cut pair whose
+LCS(a, b), LCS(a, c) and LCS(b, c) all exceed the root, and the check
+asks the kernel whether each such pair's root exceeds it.  It reads
+LCS(a, c) from the kernel's rows, which the search's bucketing has
+already built, and the other two from the cut vectors below.  So the
+check holds whatever order, stop test or screens the search uses; like
+the search, it trusts the kernel.
 
 The prefix vectors pre[s] are ``lcs2_cut_prefixes(letters, s)``, the
 same 2-way rows the square table computes.  ``square_table`` stores them
@@ -141,6 +139,15 @@ class IntervalTable:
             and self.n == other.n
             and self.kind == other.kind
             and self.rows == other.rows
+        )
+
+
+def _check_given_table(seq: Sequence, table: IntervalTable, kind: str) -> None:
+    """Raise ValueError unless ``table`` has ``kind`` and ``seq``'s length."""
+    if table.kind != kind or table.n != seq.n:
+        raise ValueError(
+            f"a {table.kind} table of n = {table.n} given where the {kind} table "
+            f"of this sequence (n = {seq.n}) is needed"
         )
 
 
@@ -394,16 +401,12 @@ def cube_witness(seq: Sequence, i: int, j: int) -> SrsDecomposition | None:
 
 def cube_search(
     seq: Sequence, i: int, j: int
-) -> tuple[SrsDecomposition | None, dict[tuple[int, int], int]]:
-    """``cube_witness(seq, i, j)`` and the values its search settled.
+) -> tuple[SrsDecomposition | None, _CutPairKernel]:
+    """``cube_witness(seq, i, j)`` and the threshold kernel its search built.
 
-    The dict maps each cut pair (c1, c2) the search put to the threshold
-    kernel to LCS(S[i..c1], S[c1+1..c2], S[c2+1..j]) when the kernel
-    returned it, and otherwise to the threshold the kernel proved it does
-    not exceed.  Either value is at least the pair's LCS and at most the
-    returned root, and the winning pair's value is that root;
-    ``check_no_longer_cube`` reads the dict to prove the witness of the
-    whole sequence longest.  The witness is validated
+    The kernel keeps the rows it built, the LCS(a, c) rows of every c1
+    among them; ``check_no_longer_cube`` asks the kernel of the whole
+    sequence to prove the witness longest.  The witness is validated
     (``check_decomposition``, length included) before it is returned.
     """
     _bounds_check(seq, i, j)
@@ -426,7 +429,6 @@ def cube_search(
     # a pair replaces the best only when its key (root, -c1, -c2) is
     # larger; (0, 0) stands for no cube, above every pair's root-0 key
     best = (0, 0)
-    runs = {}
     for bound in range(len(pairs) - 1, 0, -1):
         if bound < best[0]:
             break
@@ -444,13 +446,10 @@ def cube_search(
             # best root when the pair's cuts come first at a tie
             t = best[0] - 1 if (best[0], -c1, -c2) > best else best[0]
             root = kernel.above(cut1, cut2, t)
-            if root is None:
-                runs[c1, c2] = t
-            else:
-                runs[c1, c2] = root
+            if root is not None:
                 best = (root, -c1, -c2)
     if best == (0, 0):
-        return None, runs
+        return None, kernel
     c1, c2 = -best[1], -best[2]
     word, pa, pb, pc = lcs3_witness(
         letters[i - 1 : c1], letters[c1:c2], letters[c2:j]
@@ -461,7 +460,7 @@ def cube_search(
         tuple(c2 + p for p in pc),
     )
     dec = SrsDecomposition((Block(tuple(word), 3, copies),))
-    return check_decomposition(seq, dec, 3 * best[0]), runs
+    return check_decomposition(seq, dec, 3 * best[0]), kernel
 
 
 class _CutPairKernel:
@@ -566,18 +565,14 @@ class _CutPairKernel:
         return depth if depth > t else None
 
 
-def check_no_longer_cube(
-    seq: Sequence, root: int, runs: dict[tuple[int, int], int], pre: list
-) -> None:
+def check_no_longer_cube(seq: Sequence, root: int, kernel: _CutPairKernel, pre: list) -> None:
     """Raise AssertionError unless no cube root of ``seq`` exceeds ``root``.
 
-    ``runs`` is the dict of ``cube_search(seq, 1, n)`` and ``pre`` the
-    sequence's cut-vector list (see ``_cut_vectors``).  A longer root
+    ``kernel`` is the one ``cube_search(seq, 1, n)`` returns and ``pre``
+    the sequence's cut-vector list (see ``_cut_vectors``).  A longer root
     lies in a cut pair whose LCS(a, b), LCS(a, c) and LCS(b, c) all
-    exceed ``root``; every such pair must be in ``runs`` with a value of
-    at most ``root``.  Each value is the pair's root or a threshold the
-    kernel proved it does not exceed, so either bounds the pair's root
-    (see the module docstring).
+    exceed ``root``; the kernel must find no such pair's root above it.
+    LCS(a, c) is the kernel's row(c1, 0), which the search has built.
     """
     letters = seq.letters
     n = len(letters)
@@ -585,13 +580,13 @@ def check_no_longer_cube(
         ab = _cut_vectors(pre, letters, 0)[c1 - 1]
         bc_rows = _cut_vectors(pre, letters, c1)
         # ac[n - c2] = LCS(a, S[c2+1..n])
-        ac = lcs2_all_prefixes(letters[:c1][::-1], letters[c1:][::-1])
+        ac = kernel.row(c1, 0)
         for c2 in range(c1 + 1, n):
             if min(ab[c2 - c1], ac[n - c2], bc_rows[c2 - c1 - 1][-1]) <= root:
                 continue
-            got = runs.get((c1, c2))
-            if got is None or got > root:
+            got = kernel.above(c1, c2, root)
+            if got is not None:
                 raise AssertionError(
-                    f"a cube root longer than {root} may lie in cut pair ({c1}, {c2}): "
-                    + ("the search did not run it" if got is None else f"its root is {got}")
+                    f"a cube root longer than {root} lies in cut pair ({c1}, {c2}): "
+                    f"its root is {got}"
                 )

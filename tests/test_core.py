@@ -169,6 +169,21 @@ def test_validate_srs_rejects_malformed_blocks():
     assert validate_srs(s, cut_copy) == ["block 0 copy 1: wrong length"]
 
 
+def test_validate_srs_reports_ids_and_positions_that_do_not_fit():
+    # each would index the sequence's tables: raise, or wrap round when
+    # negative, instead of being reported
+    s = parse_sequence("abab")
+    a, b = s.tokens.index("a"), s.tokens.index("b")
+    far = SrsDecomposition((Block((5,), 2, ((1,), (3,))),))
+    assert validate_srs(s, far) == ["block 0: root letter 5 outside the alphabet"]
+    negative = SrsDecomposition((Block((-1,), 2, ((2,), (4,))),))
+    assert validate_srs(s, negative) == ["block 0: root letter -1 outside the alphabet"]
+    square = SrsDecomposition((Block((a, b), 2, ((1, 2), (3, 4))),))
+    assert validate_srs(s, square, require_cover={7}) == ["required letter 7 outside the alphabet"]
+    real = SrsDecomposition((Block((a,), 2, ((1.0,), (3,))),))
+    assert validate_srs(s, real) == ["block 0 copy 0: position 1.0 is not an int"]
+
+
 def test_check_decomposition_rejects_the_wrong_length():
     s = parse_sequence("abab")
     dec = SrsDecomposition((_block(s, "ab", (1, 2), (3, 4)),))

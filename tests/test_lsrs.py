@@ -34,6 +34,22 @@ def test_degenerate_inputs():
     assert lsrs(parse_sequence("abab")).length == 4
 
 
+def test_tables_of_another_kind_length_or_sequence_are_refused():
+    s = parse_sequence("abcabc")
+    assert lsrs(s).length == 6
+    with pytest.raises(ValueError, match="cube table of n = 6 given where the square"):
+        lsrs(s, q2=cube_table(s))
+    with pytest.raises(ValueError, match="square table of n = 8 given"):
+        lsrs(s, q2=square_table(parse_sequence("abcabcab")))
+    with pytest.raises(ValueError, match="where the cube table"):
+        lsrs(s, q3=square_table(s))
+    with pytest.raises(ValueError, match="cube table of n = 8 given"):
+        lsrs(s, q3=cube_table(parse_sequence("abcabcab")))
+    # the right shape with another sequence's values: its witness is None
+    with pytest.raises(AssertionError, match=r"square witness does not match table cell \(5,6\)"):
+        lsrs(s, q2=square_table(parse_sequence("aabbcc")))
+
+
 def test_prefix_values():
     s = parse_sequence("ACGAGCGCAGCGA")
     result = lsrs(s)

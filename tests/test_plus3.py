@@ -16,7 +16,7 @@ from subseqrep.plus3 import (
     s2_table,
     s3_table,
 )
-from subseqrep.tables import IntervalTable, square_table
+from subseqrep.tables import IntervalTable, cube_table, square_table
 
 from helpers import random_bound3_string, strings_up_to
 
@@ -180,6 +180,14 @@ def test_infeasible_cases():
     assert not r.feasible and r.length == -1 and r.decomposition is None
     assert not ft3(parse_sequence("ab"))
     assert ft3(parse_sequence("ababbcacc"))
+
+
+def test_feasibility_refuses_a_square_table_of_another_kind_or_length():
+    s = parse_sequence("abcabc")
+    with pytest.raises(ValueError, match="cube table of n = 6 given"):
+        feasibility_tables(s, q2=cube_table(s))
+    with pytest.raises(ValueError, match="square table of n = 4 given"):
+        lsrs_plus3(s, q2=square_table(parse_sequence("abab")))
 
 
 def test_empty_sequence_is_trivially_feasible():

@@ -284,32 +284,21 @@ def test_cube_search_matches_cube_table():
     check_no_longer_cube(parse_sequence(""), 0, {}, [])
 
 
-def test_cube_check_catches_a_missing_pair_and_a_short_root():
-    # the check needs exactly the pairs whose three pairwise LCS values
-    # exceed the root, and each of their values at or below it
+def test_cube_check_passes_at_the_root_and_names_every_shorter_one():
+    # the check needs only the kernel: the search's, whose rows it reuses,
+    # and a fresh one, which builds them, give the same verdicts
     rng = random.Random(29)
     texts = ["ACGAGCGCAGCGA"] + [random_string(rng, 24, sigma=4, min_n=16) for _ in range(4)]
-    dropped = 0
     for text in texts:
         seq = parse_sequence(text)
-        letters = seq.letters
         pre = [None] * seq.n
-        wit, runs = cube_search(seq, 1, seq.n)
-        root = len(wit.blocks[0].root) if wit else 0
-        for c1, c2 in runs:
-            a, b, c = letters[:c1], letters[c1:c2], letters[c2:]
-            least = min(lcs2_all_prefixes(x, y)[-1] for x, y in ((a, b), (a, c), (b, c)))
-            rest = {pair: v for pair, v in runs.items() if pair != (c1, c2)}
-            if least > root:
-                dropped += 1
-                with pytest.raises(AssertionError, match="did not run it"):
-                    check_no_longer_cube(seq, root, rest, pre)
-            else:
-                check_no_longer_cube(seq, root, rest, pre)
-        if root:
-            with pytest.raises(AssertionError, match=f"its root is {root}"):
-                check_no_longer_cube(seq, root - 1, runs, pre)
-    assert dropped
+        wit, kernel = cube_search(seq, 1, seq.n)
+        root = len(wit.blocks[0].root)
+        for k in (kernel, _CutPairKernel(seq.letters)):
+            check_no_longer_cube(seq, root, k, pre)
+            for short in range(root):
+                with pytest.raises(AssertionError, match=f"^a cube root longer than {short} "):
+                    check_no_longer_cube(seq, short, k, pre)
 
 
 def test_threshold_kernel_matches_the_3way_dp():
@@ -361,33 +350,6 @@ def test_threshold_kernel_keeps_no_state_at_its_bound():
             level1 = {first(x) + 1 for x in set(w[:c1]) & set(w[c1:c2])}
             built = {start for start, row in enumerate(kernel.rows[end]) if row}
             assert built <= level1, (w, c1, c2)
-
-
-def test_cube_search_runs_hold_a_root_or_a_proven_threshold():
-    # every settled pair's value lies between its LCS and the returned
-    # root, and the winning pair, the first in index order to reach the
-    # root, holds the root itself
-    rng = random.Random(31)
-    texts = [random_string(rng, 24, sigma=s, min_n=8) for s in (1, 2, 3, 4) for _ in range(5)]
-    texts += ["ACGAGCGCAGCGA", "abc" * 8, "aab" * 8]
-    for text in texts:
-        seq = parse_sequence(text)
-        letters = seq.letters
-        n = seq.n
-        for i, j in [(1, n)] + [tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(2)]:
-            wit, runs = cube_search(seq, i, j)
-            root = len(wit.blocks[0].root) if wit else 0
-            lcs = {
-                (c1, c2): lcs3_all_prefixes(letters[i - 1 : c1], letters[c1:c2], letters[c2:j])[-1]
-                for c1 in range(i, j - 1)
-                for c2 in range(c1 + 1, j)
-            }
-            for pair, v in runs.items():
-                assert lcs[pair] <= v <= root, (text, i, j, pair)
-            if wit:
-                first = min(pair for pair, v in lcs.items() if v == root)
-                assert runs[first] == root, (text, i, j)
-                assert wit == cube_block(letters, i, j, *first)
 
 
 def _best_first_cases():
