@@ -151,8 +151,8 @@ def cmd_analyze(args) -> None:
 def analyze_report(seq: Sequence) -> dict:
     """The ``analyze`` report of one sequence, ``timing_ms`` included.
 
-    The square table fills one list of cut vectors, which the cube check
-    and ``lsrs``'s cube rows read; the witnesses build their own.  Every
+    The square table fills one list of cut vectors, read only by
+    ``lsrs``'s cube rows; the witness searches build their own.  Every
     solver validates the witness it returns, so the cube witness bounds
     the longest cube from below; ``check_no_longer_cube`` bounds it from
     above with the threshold kernel the witness's search built, which is
@@ -178,7 +178,8 @@ def analyze_report(seq: Sequence) -> dict:
         raise AssertionError("cube witness is not a single exponent-3 block")
     cu_len = cu_wit.total_length if cu_wit else 0
     t0 = time.perf_counter()
-    check_no_longer_cube(seq, cu_len // 3, kernel, pre)
+    if n:
+        check_no_longer_cube(kernel, cu_len // 3)
     del kernel  # its rows are O(n^3) ints
     timing = {"square": square_ms, "cube": _ms_since(t0), "witnesses": witnesses_ms}
     max_occurrence = max(Counter(seq.letters).values(), default=0)

@@ -74,7 +74,7 @@ def lsrs(
     another sequence is caught only when the traceback picks a cell whose
     witness does not match it (AssertionError).  ``pre`` is the
     sequence's cut-vector list, as ``square_table`` fills it (``analyze``
-    passes the one its cube check reads); the targeted cube rows read it,
+    passes its square table's); the targeted cube rows read it,
     and without it they share one of their own.  The interval witnesses
     of the traceback take no shared state.  Each block is validated by
     the witness function that builds it and the merged decomposition

@@ -55,39 +55,40 @@ it is returned, so a caller never sees a witness that fails the check.
 and visits them from the highest bound, keeping the pair with the
 largest key (root, -c1, -c2): the longest root at the smallest (c1, c2),
 which is what an index-order scan returns.  No root exceeds its pair's
-bound or LCS(b, c), so a pair whose (bound, -c1, -c2) or (LCS(b, c),
--c1, -c2) is not above the best key cannot replace it, and neither can
-any later pair of the same bound (their keys fall along the list) or of
-a lower bound once that bound is below the best root.
+bound, so a pair whose (bound, -c1, -c2) is not above the best key
+cannot replace it, and neither can any later pair of the same bound
+(their keys fall along the list) or of a lower bound once that bound is
+below the best root.
 
-A pair that passes those tests runs no 3-way DP.  It only needs to know
+A pair that passes that test runs no 3-way DP.  It only needs to know
 whether its root beats the best key, and the root when it does, so it
 asks a threshold kernel (``_CutPairKernel``) whether LCS(a, b, c)
 exceeds t: the best root, or one less when the pair's cuts come first
-at a tie.  The kernel grows levels of Pareto-minimal match states, the
-dominant points of Hakata & Imai (ISAAC 1992), through a next-occurrence
-table, and drops every state whose depth plus the pairwise suffix bound
-of Wang, Korkin & Shang (IEEE TKDE 2011) does not exceed t.  Those
-bounds, the LCS(a, c) of the bucketing and the LCS(b, c) test all read
-one family of bit-parallel rows, built on first use and kept for the
-one search.  The rows run the private ``_bit_parallel_row`` directly,
-so the ``lcs`` call counts of a trace do not see them, as they do not
-see the rows inside ``lcs2_cut_prefixes``.
+at a tie.  The kernel alone decides the pair: it refutes it at once
+when LCS(a, b), LCS(a, c) or LCS(b, c) is at most t, and otherwise grows
+levels of Pareto-minimal match states, the dominant points of Hakata &
+Imai (ISAAC 1992), through a next-occurrence table, and drops every
+state whose depth plus the pairwise suffix bound of Wang, Korkin & Shang
+(IEEE TKDE 2011) does not exceed t.  LCS(a, b) comes from the kernel's
+``lcs2_cut_prefixes(w, 0)``, the rest from one family of bit-parallel
+rows, built on first use and kept for the one search; the bucketing
+reads the same.  The rows run the private ``_bit_parallel_row``
+directly, so the ``lcs`` call counts of a trace do not see them, as
+they do not see the rows inside ``lcs2_cut_prefixes``.
 
-``check_no_longer_cube`` proves the root of the whole sequence longest
-with the same kernel.  Any longer root lies in a cut pair whose
-LCS(a, b), LCS(a, c) and LCS(b, c) all exceed the root, and the check
-asks the kernel whether each such pair's root exceeds it.  It reads
-LCS(a, c) from the kernel's rows, which the search's bucketing has
-already built, and the other two from the cut vectors below.  So the
-check holds whatever order, stop test or screens the search uses; like
-the search, it trusts the kernel.
+``check_no_longer_cube`` proves a root longest with the kernel alone: it
+asks ``above`` of every cut pair of the kernel's word at that root.  So
+it holds for the kernel of any interval, whatever order, stop test or
+screens the search uses; like the search, it trusts the kernel.  After
+the search it builds no row: every pair whose bucket bound exceeds the
+root was asked at a threshold at most the root, and the states a pair
+keeps at a higher threshold are among those it keeps at a lower one.
 
 The prefix vectors pre[s] are ``lcs2_cut_prefixes(letters, s)``, the
 same 2-way rows the square table computes.  ``square_table`` stores them
 in a ``pre`` list when given one; ``lsrs`` hands such a list to its cube
-rows and ``check_no_longer_cube`` reads one, so ``analyze`` builds them
-once per sequence; ``cube_table`` shares one list among its rows.
+rows, so ``analyze`` builds them once per sequence; ``cube_table``
+shares one list among its rows.
 Without the list the square table keeps none of them, which keeps its
 memory O(n^2).
 """
@@ -404,15 +405,13 @@ def cube_search(
 ) -> tuple[SrsDecomposition | None, _CutPairKernel]:
     """``cube_witness(seq, i, j)`` and the threshold kernel its search built.
 
-    The kernel keeps the rows it built, the LCS(a, c) rows of every c1
-    among them; ``check_no_longer_cube`` asks the kernel of the whole
-    sequence to prove the witness longest.  The witness is validated
-    (``check_decomposition``, length included) before it is returned.
+    The kernel holds the cut vectors of S[i..j] and keeps every row it
+    built; ``check_no_longer_cube(kernel, root)`` proves the witness
+    longest with it.  The witness is validated (``check_decomposition``,
+    length included) before it is returned.
     """
     _bounds_check(seq, i, j)
     letters = seq.letters
-    # ab_rows[c1 - i][c2 - c1] = LCS(a, S[c1+1..c2]), every c1 in one pass
-    ab_rows = lcs2_cut_prefixes(letters[:j], i - 1)
     kernel = _CutPairKernel(letters[i - 1 : j])
     # pairs[r]: the cut pairs with bound min(LCS(a, b), LCS(a, c)) = r > 0,
     # in (c1, c2) order, with ac[j - c2] = LCS(a, S[c2+1..j]); no bound
@@ -420,7 +419,7 @@ def cube_search(
     # a tuple per pair raised the peak memory of n = 32 queries by 0.1 MiB.
     pairs = [[] for _ in range((j - i + 1) // 3 + 1)]
     for c1 in range(i, j - 1):
-        ab = ab_rows[c1 - i]
+        ab = kernel.cuts[c1 - i]
         ac = kernel.row(c1 - i + 1, 0)
         bounds = map(min, ab[1 : j - c1], ac[j - c1 - 1 : 0 : -1])
         for c2, r in enumerate(bounds, c1 + 1):
@@ -437,15 +436,10 @@ def cube_search(
             # keys fall along the list, and no root exceeds its bound
             if (bound, -c1, -c2) <= best:
                 break
-            cut1 = c1 - i + 1
-            cut2 = c2 - i + 1
-            # LCS(b, c)
-            if (kernel.row(cut2, cut1)[j - c2], -c1, -c2) <= best:
-                continue
             # the root this pair must exceed to win: one less than the
             # best root when the pair's cuts come first at a tie
             t = best[0] - 1 if (best[0], -c1, -c2) > best else best[0]
-            root = kernel.above(cut1, cut2, t)
+            root = kernel.above(c1 - i + 1, c2 - i + 1, t)
             if root is not None:
                 best = (root, -c1, -c2)
     if best == (0, 0):
@@ -474,13 +468,15 @@ class _CutPairKernel:
         is the first position >= u that holds the letter, or len(w) if
         none does;
       - ``masks[x]`` has bit len(w) - 1 - u set wherever w[u] == x;
+      - ``cuts = lcs2_cut_prefixes(w, 0)``: cuts[cut1 - 1][cut2 - cut1]
+        = LCS(w[:cut1], w[cut1:cut2]) for every cut pair;
       - ``row(end, start)[k]`` = LCS(w[start:end], w[len(w) - k:]) for
         0 <= k <= len(w) - end, one bit-parallel row built on first use
         and kept.  With end = cut1 it bounds the rest of a against the
         rest of c, with end = cut2 the rest of b against it.
     """
 
-    __slots__ = ("size", "nexts", "masks", "rev", "rows")
+    __slots__ = ("size", "nexts", "masks", "rev", "rows", "cuts")
 
     def __init__(self, w: tuple[int, ...]):
         size = self.size = len(w)
@@ -498,6 +494,7 @@ class _CutPairKernel:
         self.rev = w[::-1]
         # rows[end][start], None until built
         self.rows = [[None] * (end + 1) for end in range(size + 1)]
+        self.cuts = lcs2_cut_prefixes(w, 0)
 
     def _build(self, end: int, start: int) -> list[int]:
         shift = self.size - end
@@ -513,16 +510,24 @@ class _CutPairKernel:
     def above(self, cut1: int, cut2: int, t: int) -> int | None:
         """The 3-way LCS of the cut pair if it exceeds t, else None.
 
-        Level d holds the Pareto-minimal states (p, q, r) reached by a
-        common subsequence of length d: the next unread positions in a,
-        b and c (Hakata & Imai's dominant points).  A state is stepped by
-        each letter to its next occurrence in all three parts, and kept
-        only if d plus min(LCS(a[p:], c[r:]), LCS(b[q:], c[r:])) exceeds
-        t (the pairwise suffix bound of Wang, Korkin & Shang).  A state
-        on a longest path is kept or dominated by a kept one whenever
-        that LCS exceeds t, so the last non-empty level is the LCS then,
-        and at most t otherwise.
+        The root is no longer than LCS(a, b), LCS(a, c) or LCS(b, c), so
+        the pair is refuted at once when any of them is at most t, tested
+        in that order: ``cuts``, then rows (cut1, 0) and (cut2, cut1).
+        Otherwise level d holds the Pareto-minimal states (p, q, r)
+        reached by a common subsequence of length d: the next unread
+        positions in a, b and c (Hakata & Imai's dominant points).  A
+        state is stepped by each letter to its next occurrence in all
+        three parts, and kept only if d plus min(LCS(a[p:], c[r:]),
+        LCS(b[q:], c[r:])) exceeds t (the pairwise suffix bound of Wang,
+        Korkin & Shang).  A state on a longest path is kept or dominated
+        by a kept one whenever that LCS exceeds t, so the last non-empty
+        level is the LCS then, and at most t otherwise.
         """
+        k = self.size - cut2
+        if self.cuts[cut1 - 1][cut2 - cut1] <= t or self.row(cut1, 0)[k] <= t:
+            return None
+        if self.row(cut2, cut1)[k] <= t:
+            return None
         last = self.size - 1
         a_rows = self.rows[cut1]
         b_rows = self.rows[cut2]
@@ -565,25 +570,16 @@ class _CutPairKernel:
         return depth if depth > t else None
 
 
-def check_no_longer_cube(seq: Sequence, root: int, kernel: _CutPairKernel, pre: list) -> None:
-    """Raise AssertionError unless no cube root of ``seq`` exceeds ``root``.
+def check_no_longer_cube(kernel: _CutPairKernel, root: int) -> None:
+    """Raise AssertionError unless no cube root of the kernel's word exceeds ``root``.
 
-    ``kernel`` is the one ``cube_search(seq, 1, n)`` returns and ``pre``
-    the sequence's cut-vector list (see ``_cut_vectors``).  A longer root
-    lies in a cut pair whose LCS(a, b), LCS(a, c) and LCS(b, c) all
-    exceed ``root``; the kernel must find no such pair's root above it.
-    LCS(a, c) is the kernel's row(c1, 0), which the search has built.
+    Asks ``kernel.above(c1, c2, root)`` of every cut pair of the word,
+    so it holds for the kernel of any interval.  After ``cube_search``
+    with the root of its witness, every row it reads is built.
     """
-    letters = seq.letters
-    n = len(letters)
-    for c1 in range(1, n - 1):
-        ab = _cut_vectors(pre, letters, 0)[c1 - 1]
-        bc_rows = _cut_vectors(pre, letters, c1)
-        # ac[n - c2] = LCS(a, S[c2+1..n])
-        ac = kernel.row(c1, 0)
-        for c2 in range(c1 + 1, n):
-            if min(ab[c2 - c1], ac[n - c2], bc_rows[c2 - c1 - 1][-1]) <= root:
-                continue
+    size = kernel.size
+    for c1 in range(1, size - 1):
+        for c2 in range(c1 + 1, size):
             got = kernel.above(c1, c2, root)
             if got is not None:
                 raise AssertionError(

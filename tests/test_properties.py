@@ -45,9 +45,9 @@ def _lengths(doc: dict) -> dict:
 def _library_lengths(seq: Sequence) -> dict:
     """The lengths `analyze` reports, from the library calls it makes."""
     n = seq.n
-    cube, runs = cube_search(seq, 1, n)
+    cube, kernel = cube_search(seq, 1, n)
     root = len(cube.blocks[0].root) if cube else 0
-    check_no_longer_cube(seq, root, runs, [None] * n)
+    check_no_longer_cube(kernel, root)
     return {"square": square_table(seq).get(1, n), "cube": 3 * root, "lsrs": lsrs(seq).length}
 
 

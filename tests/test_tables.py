@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from subseqrep import tables
 from subseqrep.core import (
     Block,
     SrsDecomposition,
@@ -262,8 +263,7 @@ def test_pruned_cube_matches_unpruned_search():
 
 def test_cube_search_matches_cube_table():
     # the whole-sequence search's root against the full table's longest
-    # cube, and the check that proves it, with its own cut vectors and
-    # with square_table's
+    # cube, and the check that proves it with the search's kernel
     rng = random.Random(27)
     texts = [random_string(rng, 40, sigma=rng.randint(2, 8), min_n=24) for _ in range(8)]
     texts += ["abc" * 11, "aab" * 12, "a" * 30]
@@ -271,17 +271,13 @@ def test_cube_search_matches_cube_table():
     seqs.append(sequence_from_tokens([f"x{p}" for p in range(30)]))  # all distinct
     for seq in seqs:
         top = cube_table(seq, threads=1).get(1, seq.n) // 3
-        wit, runs = cube_search(seq, 1, seq.n)
+        wit, kernel = cube_search(seq, 1, seq.n)
         assert (len(wit.blocks[0].root) if wit else 0) == top, seq.render()
         assert wit == cube_witness(seq, 1, seq.n)
-        check_no_longer_cube(seq, top, runs, [None] * seq.n)
-        pre = [None] * seq.n
-        square_table(seq, pre=pre)
-        check_no_longer_cube(seq, top, runs, pre)
+        check_no_longer_cube(kernel, top)
         if top:
             with pytest.raises(AssertionError):
-                check_no_longer_cube(seq, top - 1, runs, pre)
-    check_no_longer_cube(parse_sequence(""), 0, {}, [])
+                check_no_longer_cube(kernel, top - 1)
 
 
 def test_cube_check_passes_at_the_root_and_names_every_shorter_one():
@@ -291,14 +287,66 @@ def test_cube_check_passes_at_the_root_and_names_every_shorter_one():
     texts = ["ACGAGCGCAGCGA"] + [random_string(rng, 24, sigma=4, min_n=16) for _ in range(4)]
     for text in texts:
         seq = parse_sequence(text)
-        pre = [None] * seq.n
         wit, kernel = cube_search(seq, 1, seq.n)
         root = len(wit.blocks[0].root)
         for k in (kernel, _CutPairKernel(seq.letters)):
-            check_no_longer_cube(seq, root, k, pre)
+            check_no_longer_cube(k, root)
             for short in range(root):
                 with pytest.raises(AssertionError, match=f"^a cube root longer than {short} "):
-                    check_no_longer_cube(seq, short, k, pre)
+                    check_no_longer_cube(k, short)
+
+
+def test_cube_check_on_interval_kernels():
+    # the kernel of any interval proves that interval's root longest and
+    # names every shorter one; its cut vectors are the interval's own, so
+    # an off-by-one in them or in the kernel's size shows here
+    rng = random.Random(33)
+    texts = [random_string(rng, 18, sigma=sigma, min_n=12) for sigma in range(1, 5)]
+    texts += [random_string(rng, 18, sigma=sigma, min_n=12) for sigma in range(2, 5)]
+    seqs = [parse_sequence(t) for t in texts + ["a" * 16]]
+    seqs.append(sequence_from_tokens([f"x{p}" for p in range(14)]))  # all distinct
+    for seq in seqs:
+        q3 = cube_table(seq)
+        for i in range(1, seq.n + 1):
+            for j in range(i, seq.n + 1):
+                _, kernel = cube_search(seq, i, j)
+                where = (seq.render(), i, j)
+                assert kernel.cuts == lcs2_cut_prefixes(seq.letters[:j], i - 1), where
+                root = q3.get(i, j) // 3
+                check_no_longer_cube(kernel, root)
+                for short in range(root):
+                    with pytest.raises(AssertionError, match=f"^a cube root longer than {short} "):
+                        check_no_longer_cube(kernel, short)
+
+
+def test_cube_check_builds_nothing_after_the_search(monkeypatch):
+    # the search asks every pair whose bucket bound exceeds its root at a
+    # threshold at most the root, and a pair keeps no state at a higher
+    # threshold that it does not keep at a lower one, so the check reads
+    # only rows and cut vectors the search built
+    calls = {"build": 0, "cuts": 0}
+    real_build = _CutPairKernel._build
+    real_cuts = tables.lcs2_cut_prefixes
+
+    def build(self, end, start):
+        calls["build"] += 1
+        return real_build(self, end, start)
+
+    def cuts(x, s):
+        calls["cuts"] += 1
+        return real_cuts(x, s)
+
+    monkeypatch.setattr(_CutPairKernel, "_build", build)
+    monkeypatch.setattr(tables, "lcs2_cut_prefixes", cuts)
+    rng = random.Random(34)
+    for _ in range(12):
+        seq = parse_sequence("".join(rng.choice("ACGT") for _ in range(rng.randint(24, 48))))
+        calls.update(build=0, cuts=0)
+        wit, kernel = cube_search(seq, 1, seq.n)
+        assert calls["cuts"] == 1 and calls["build"] > 0, seq.render()
+        calls.update(build=0, cuts=0)
+        check_no_longer_cube(kernel, len(wit.blocks[0].root) if wit else 0)
+        assert calls == {"build": 0, "cuts": 0}, seq.render()
 
 
 def test_threshold_kernel_matches_the_3way_dp():
@@ -332,9 +380,9 @@ def test_threshold_kernel_matches_the_3way_dp():
 
 
 def test_threshold_kernel_keeps_no_state_at_its_bound():
-    # a successor's bound is at least one below its parent's, so at t =
-    # min(LCS(a, c), LCS(b, c)) every level-1 state fails the keep test,
-    # and the only rows built are the bounds of level 1's states
+    # at t = min(LCS(a, c), LCS(b, c)) the root bound refutes the pair
+    # before any level is grown, so the only rows built are the ones that
+    # bound reads: LCS(a, c) from row (c1, 0), LCS(b, c) from row (c2, c1)
     rng = random.Random(32)
     for _ in range(300):
         w = tuple(rng.randrange(rng.randint(1, 4)) for _ in range(rng.randint(3, 20)))
@@ -344,12 +392,9 @@ def test_threshold_kernel_keeps_no_state_at_its_bound():
         t = min(lcs2_all_prefixes(x, w[c2:])[-1] for x in (w[:c1], w[c1:c2]))
         kernel = _CutPairKernel(w)
         assert kernel.above(c1, c2, t) is None
-        # a level-1 state reads rows (c1, p + 1) and (c2, q + 1), where p
-        # and q are a letter's first positions in a and in b
-        for end, first in ((c1, w[:c1].index), (c2, lambda x: c1 + w[c1:c2].index(x))):
-            level1 = {first(x) + 1 for x in set(w[:c1]) & set(w[c1:c2])}
-            built = {start for start, row in enumerate(kernel.rows[end]) if row}
-            assert built <= level1, (w, c1, c2)
+        for end, start in ((c1, 0), (c2, c1)):
+            built = {s for s, row in enumerate(kernel.rows[end]) if row}
+            assert built <= {start}, (w, c1, c2)
 
 
 def _best_first_cases():
